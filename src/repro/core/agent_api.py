@@ -25,6 +25,7 @@ from .environment import (
     ActionSpace,
     DEFAULT_EPISODE_LENGTH,
     PhaseOrderingEnv,
+    greedy_rollout,
     make_action_space,
 )
 from .evaluate import BenchmarkResult, SuiteSummary, evaluate_suite
@@ -178,6 +179,15 @@ class PosetRL:
         self.last_train_throughput: Optional[TrainThroughput] = None
         #: Pipeline report of the most recent :meth:`train_distributed` run.
         self.last_distributed_report: Optional[DistributedReport] = None
+        #: ``(input fingerprint, actions, optimized module)`` of the last
+        #: :meth:`predict`, consumed by :meth:`apply_actions`.
+        self._last_rollout: Optional[Tuple[str, Tuple[int, ...], Module]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Facades ship to evaluation workers; modules do not pickle.
+        state = self.__dict__.copy()
+        state["_last_rollout"] = None
+        return state
 
     # -- environments --------------------------------------------------------
     def make_env(self, module: Module) -> PhaseOrderingEnv:
@@ -488,15 +498,18 @@ class PosetRL:
 
     # -- inference -----------------------------------------------------------------
     def predict(self, module: Module) -> List[int]:
-        """Greedy rollout: the predicted sub-sequence ordering (Table VI)."""
+        """Greedy rollout: the predicted sub-sequence ordering (Table VI).
+
+        The rollout's end state is the optimized module; it is kept (one
+        entry, keyed by the input's fingerprint and the actions) for the
+        :meth:`apply_actions` call that usually follows.
+        """
         env = self.make_env(module)
-        state = env.reset()
-        actions: List[int] = []
-        done = False
-        while not done:
-            action = self.agent.act(state, greedy=True)
-            state, _, done, _ = env.step(action)
-            actions.append(action)
+        fingerprint = env.fingerprint or self.metrics.fingerprint(module)
+        actions, optimized = greedy_rollout(
+            env, lambda state: self.agent.act(state, greedy=True)
+        )
+        self._last_rollout = (fingerprint, tuple(actions), optimized)
         return actions
 
     def apply_actions(
@@ -504,17 +517,30 @@ class PosetRL:
     ) -> Module:
         """Apply a predicted action sequence to a fresh copy of ``module``.
 
+        Right after :meth:`predict` on an unchanged ``module`` with the
+        same actions, the rollout's module is handed over instead of
+        re-running the passes (once: the entry is then dropped).
+        Otherwise the sequence is replayed on a clone.
+
         The result is verified before it is returned: a pass that broke an
         IR invariant raises :class:`ValueError` naming the offending action
         index and its pass sub-sequence (located by replaying the sequence
         with per-action verification — the happy path verifies only once).
         """
-        copy = module.clone()
-        for action in actions:
-            self.actions.apply(action, copy)
+        memo, self._last_rollout = self._last_rollout, None
+        if (
+            memo is not None
+            and memo[1] == tuple(actions)
+            and memo[0] == self.metrics.fingerprint(module)
+        ):
+            result = memo[2]
+        else:
+            result = module.clone()
+            for action in actions:
+                self.actions.apply(action, result)
         if verify:
             try:
-                verify_module(copy)
+                verify_module(result)
             except VerificationError as exc:
                 probe = module.clone()
                 for index, action in enumerate(actions):
@@ -530,7 +556,7 @@ class PosetRL:
                 raise ValueError(
                     f"predicted sequence produced invalid IR: {exc}"
                 ) from exc
-        return copy
+        return result
 
     def predicted_pass_sequence(self, actions: Sequence[int]) -> List[str]:
         passes: List[str] = []

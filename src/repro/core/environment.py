@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -341,6 +341,26 @@ class PhaseOrderingEnv:
             if done:
                 break
         return infos
+
+
+def greedy_rollout(
+    env: PhaseOrderingEnv, choose: Callable[[np.ndarray], int]
+) -> Tuple[List[int], Module]:
+    """Reset ``env`` and step it to the end of its episode, taking
+    ``choose(state)`` at every step.
+
+    Returns the actions and the end state, ``env.current``: the env's
+    private materialized module, never a transition-cache snapshot, so
+    the caller owns it.
+    """
+    state = env.reset()
+    actions: List[int] = []
+    done = False
+    while not done:
+        action = choose(state)
+        state, _, done, _ = env.step(action)
+        actions.append(action)
+    return actions, env.current
 
 
 def make_action_space(kind: str = "odg") -> ActionSpace:

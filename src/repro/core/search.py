@@ -22,7 +22,7 @@ import numpy as np
 from ..codegen.objfile import object_size
 from ..ir.module import Module
 from ..mca.sched import estimate_throughput
-from .environment import ActionSpace, PhaseOrderingEnv
+from .environment import ActionSpace, PhaseOrderingEnv, greedy_rollout
 from .rewards import RewardWeights, combined_reward
 
 __all__ = [
@@ -65,13 +65,7 @@ def rollout_policy(
         module, action_space, target=target, weights=weights,
         episode_length=steps,
     )
-    env.reset()
-    actions: List[int] = []
-    done = False
-    while not done:
-        action = choose(env)
-        _, _, done, _ = env.step(action)
-        actions.append(action)
+    actions, _ = greedy_rollout(env, lambda _state: choose(env))
     return PolicyResult(env, actions)
 
 

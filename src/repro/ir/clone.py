@@ -35,6 +35,20 @@ def clone_blocks_into(
     Operands that refer *forward* to instructions cloned later (phis over
     back edges) are resolved in a second pass.
     """
+    return _clone_blocks(
+        target_fn, blocks, vmap, name_suffix, keep_names=False
+    )
+
+
+def _clone_blocks(
+    target_fn: Function,
+    blocks: List[BasicBlock],
+    vmap: ValueMap,
+    name_suffix: str,
+    keep_names: bool,
+) -> List[BasicBlock]:
+    """:func:`clone_blocks_into`; with ``keep_names`` cloned values keep
+    their names instead of drawing fresh ones from ``target_fn``."""
     new_blocks: List[BasicBlock] = []
     for block in blocks:
         nb = target_fn.add_block(block.name + name_suffix)
@@ -48,7 +62,10 @@ def clone_blocks_into(
             copy = inst.clone_impl(operands)
             copy.meta = dict(inst.meta)
             if not copy.type.is_void:
-                copy.name = target_fn.next_name(inst.name or "t")
+                copy.name = (
+                    inst.name if keep_names
+                    else target_fn.next_name(inst.name or "t")
+                )
             nb.append(copy)
             vmap[id(inst)] = copy
             cloned.append((inst, copy))
@@ -64,11 +81,17 @@ def clone_blocks_into(
 def clone_function_body(
     source: Function, target: Function, vmap: Optional[ValueMap] = None
 ) -> ValueMap:
-    """Clone all blocks of ``source`` into the (block-less) ``target``."""
+    """Clone all blocks of ``source`` into the (block-less) ``target``.
+
+    A whole-function copy keeps the local names and the name counter, so
+    a cloned module prints exactly like its source and repeated cloning
+    never grows names.
+    """
     vmap = dict(vmap or {})
     for src_arg, dst_arg in zip(source.args, target.args):
         vmap[id(src_arg)] = dst_arg
-    clone_blocks_into(target, source.blocks, vmap)
+    target._name_counter = source._name_counter
+    _clone_blocks(target, source.blocks, vmap, "", keep_names=True)
     return vmap
 
 

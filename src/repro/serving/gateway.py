@@ -500,10 +500,10 @@ class ShardedGateway:
             _ShardHandle(i) for i in range(n_shards)
         ]
         self._pending: Dict[int, _Pending] = {}
-        # Request coalescing: exact-text key -> req_id of the in-flight
-        # computation duplicates should ride on. Entries live exactly as
-        # long as their pending request (same lock).
-        self._coalesce: Dict[str, int] = {}
+        # Request coalescing: exact-text key -> the in-flight request
+        # duplicates ride on, claimed before it is routed. Entries live
+        # exactly as long as their request (same lock).
+        self._coalesce: Dict[str, _Pending] = {}
         self._req_counter = 0
         self._started = False
         self._closed = False
@@ -688,13 +688,7 @@ class ShardedGateway:
             self._pending.clear()
             self._coalesce.clear()
         for pending in leftovers:
-            self._resolve_shed(pending.future, pending.name,
-                               "gateway_shutdown: request abandoned",
-                               arrival=pending.arrival, status="rejected")
-            for w_future, w_name, w_arrival in pending.waiters:
-                self._resolve_shed(w_future, w_name,
-                                   "gateway_shutdown: request abandoned",
-                                   arrival=w_arrival, status="rejected")
+            self._reject(pending, "gateway_shutdown: request abandoned")
         return {
             h.index: h.final_counters or {} for h in self._handles
         }
@@ -738,23 +732,28 @@ class ShardedGateway:
         # this one too — one rollout, N futures. Checked before the
         # depth gate (a coalesced duplicate adds no shard load), after
         # the rate limit (each duplicate still spends a tenant token).
+        # Lookup, depth gate and the leader's claim on the key share one
+        # critical section, so racing duplicates elect exactly one leader
+        # even while it is still being routed.
         key = text_key(ir_text)
-        if self.coalesce:
-            with self._lock:
-                leader_id = self._coalesce.get(key)
-                leader = (
-                    self._pending.get(leader_id)
-                    if leader_id is not None else None
-                )
-                if leader is not None:
-                    leader.waiters.append((future, name, arrival))
-                    self.counters["coalesced"] += 1
-            if leader is not None:
-                if self._observe:
-                    self._instruments.coalesced.inc()
-                return future
         with self._lock:
-            depth = len(self._pending)
+            leader = self._coalesce.get(key) if self.coalesce else None
+            if leader is not None:
+                leader.waiters.append((future, name, arrival))
+                self.counters["coalesced"] += 1
+            else:
+                depth = len(self._pending)
+                if depth < self.max_pending:
+                    self._req_counter += 1
+                    claim = _Pending(self._req_counter, future, name,
+                                     tenant, ir_text, None, arrival)
+                    if self.coalesce:
+                        claim.key = key
+                        self._coalesce[key] = claim
+        if leader is not None:
+            if self._observe:
+                self._instruments.coalesced.inc()
+            return future
         if depth >= self.max_pending:
             self._shed(future, name, arrival, "queue_full",
                        f"shed: queue_full {depth} in flight "
@@ -763,15 +762,14 @@ class ShardedGateway:
 
         route = self._route(ir_text, key=key)
         if route[0] == "r":
-            self._resolve_shed(future, name, route[1], arrival=arrival,
-                               status="rejected")
-            self._count("rejected")
+            # Release the claim; duplicates that joined it meanwhile get
+            # the same rejection.
+            with self._lock:
+                self._drop_coalesce(claim)
+            self._count("rejected", 1 + len(claim.waiters))
+            self._reject(claim, route[1])
             return future
-        shard = route[1]
-        self._dispatch(
-            future, name, tenant, ir_text, shard, arrival,
-            key=key if self.coalesce else None,
-        )
+        self._dispatch(claim, route[1])
         return future
 
     def submit_request(
@@ -852,28 +850,19 @@ class ShardedGateway:
         return route[1]
 
     # -- dispatch and completion --------------------------------------------
-    def _dispatch(
-        self, future, name, tenant, ir_text, shard, arrival,
-        retried: bool = False,
-        key: Optional[str] = None,
-        waiters: Optional[List[Tuple]] = None,
-    ) -> None:
+    def _dispatch(self, pending: _Pending, shard: int) -> None:
         with self._lock:
             handle = self._live_handle(shard)
-            self._req_counter += 1
-            req_id = self._req_counter
-            pending = _Pending(
-                req_id, future, name, tenant, ir_text, handle.index, arrival
-            )
-            pending.retried = retried
-            if key is not None:
-                pending.key = key
-                self._coalesce[key] = req_id
-            if waiters:
-                pending.waiters = waiters
-            self._pending[req_id] = pending
+            pending.shard = handle.index
+            if pending.key is not None:
+                # A failed-over leader takes its key back unless a new
+                # leader claimed it meanwhile.
+                self._coalesce.setdefault(pending.key, pending)
+            self._pending[pending.req_id] = pending
             self._publish_depth()
-        self._send(handle, ("submit", req_id, name, ir_text))
+        self._send(
+            handle, ("submit", pending.req_id, pending.name, pending.ir_text)
+        )
 
     def _live_handle(self, shard: int) -> _ShardHandle:
         """Preferred shard, or the next sibling that is not failed.
@@ -972,7 +961,7 @@ class ShardedGateway:
         """Remove the coalesce entry owned by ``pending`` (under lock)."""
         if (
             pending.key is not None
-            and self._coalesce.get(pending.key) == pending.req_id
+            and self._coalesce.get(pending.key) is pending
         ):
             del self._coalesce[pending.key]
 
@@ -986,6 +975,15 @@ class ShardedGateway:
             self._instruments.shed[tag].inc()
         self._resolve_shed(future, name, reason, arrival=arrival,
                            status="rejected")
+
+    def _reject(self, pending: _Pending, reason: str) -> None:
+        """Resolve ``pending`` and the duplicates riding on it as
+        rejected."""
+        for future, name, arrival in [
+            (pending.future, pending.name, pending.arrival), *pending.waiters
+        ]:
+            self._resolve_shed(future, name, reason, arrival=arrival,
+                               status="rejected")
 
     def _resolve_shed(
         self, future, name, reason, *, arrival: float, status: str
@@ -1064,26 +1062,16 @@ class ShardedGateway:
             else handle.index
         for p in orphans:
             if p.retried:
-                reason = f"worker_lost: shard {handle.index} died twice"
-                self._count("rejected")
-                self._resolve_shed(
-                    p.future, p.name, reason,
-                    arrival=p.arrival, status="rejected",
+                self._count("rejected", 1 + len(p.waiters))
+                self._reject(
+                    p, f"worker_lost: shard {handle.index} died twice"
                 )
-                for w_future, w_name, w_arrival in p.waiters:
-                    self._count("rejected")
-                    self._resolve_shed(
-                        w_future, w_name, reason,
-                        arrival=w_arrival, status="rejected",
-                    )
                 continue
             self._count("failovers")
             if self._observe:
                 self._instruments.failovers.inc()
-            self._dispatch(
-                p.future, p.name, p.tenant, p.ir_text, sibling, p.arrival,
-                retried=True, key=p.key, waiters=p.waiters,
-            )
+            p.retried = True
+            self._dispatch(p, sibling)
 
     # -- observability ------------------------------------------------------
     def _count(self, key: str, n: int = 1) -> None:

@@ -44,15 +44,18 @@ class TestCloneStability:
             assert function_fingerprint(orig) == function_fingerprint(copy)
 
     def test_fingerprint_ignores_local_names(self):
-        # Clones rename locals (%y -> %t1 etc.); identical structure with
-        # different local names must hash identically.
+        # Identical structure with different local names must hash
+        # identically (passes and parsers name values differently).
         a = build_simple()
         b = a.clone()
-        for inst, cloned in zip(
+        for index, inst in enumerate(b.functions[0].instructions()):
+            if not inst.type.is_void:
+                inst.name = f"renamed{index}"
+        for inst, renamed in zip(
             a.functions[0].instructions(), b.functions[0].instructions()
         ):
             if not inst.type.is_void:
-                assert inst.name != cloned.name or inst.name == ""
+                assert inst.name != renamed.name
         assert module_fingerprint(a) == module_fingerprint(b)
 
     def test_print_parse_roundtrip_preserves_fingerprint(self, module):

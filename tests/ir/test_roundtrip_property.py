@@ -60,3 +60,16 @@ def test_roundtrip_preserves_behaviour(seed):
     for args in ((0,), (7,), (-3,)):
         assert observe_module(reparsed, args=args) == \
             observe_module(module, args=args)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_clone_prints_like_its_source(seed):
+    """Cloning keeps local names: a clone (and a clone of a clone) prints
+    exactly like its source and round-trips through the parser."""
+    module = generate_fuzz_program(FuzzProfile(seed=seed))
+    run_passes(module, ["instcombine", "gvn", "simplifycfg", "dce"])
+    text = print_module(module)
+    clone = module.clone()
+    assert print_module(clone) == text
+    assert print_module(clone.clone()) == text
+    assert_roundtrip(clone)

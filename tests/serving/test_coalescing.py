@@ -1,6 +1,8 @@
 """Gateway request coalescing: duplicate in-flight texts share one rollout."""
 
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -104,6 +106,66 @@ class TestCoalescing:
         assert all(r is not None and r.status == "ok" for r in results)
         assert len({tuple(r.actions) for r in results}) == 1
         assert gateway.stats().per_shard[0]["counters"]["requests"] == 1
+
+    def test_slow_routing_still_elects_one_leader(self, text, monkeypatch):
+        """Duplicates that arrive while the leader is still being routed
+        (parsed) must join it rather than become leaders themselves."""
+        n = 4
+        with make_gateway(batch_window_s=0.05) as gateway:
+            real_route = gateway._route
+            routing = threading.Event()
+
+            def slow_route(*args, **kwargs):
+                routing.set()
+                time.sleep(0.3)
+                return real_route(*args, **kwargs)
+
+            monkeypatch.setattr(gateway, "_route", slow_route)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                leader = pool.submit(gateway.submit, text, name="leader")
+                assert routing.wait(timeout=10)
+                # The leader is inside ``_route`` now; every duplicate
+                # lands in that window.
+                futures = [
+                    gateway.submit(text, name=f"dup{i}")
+                    for i in range(n - 1)
+                ]
+                results = [
+                    f.result(timeout=30)
+                    for f in [leader.result(timeout=30), *futures]
+                ]
+            assert gateway.counters["coalesced"] == n - 1
+        assert all(r.status == "ok" for r in results)
+        assert gateway.stats().per_shard[0]["counters"]["requests"] == 1
+
+    def test_rejected_leader_releases_its_claim(self, monkeypatch):
+        """A leader rejected at routing answers its waiters with the same
+        rejection and frees the key for later submissions."""
+        bad = "this is not IR"
+        with make_gateway() as gateway:
+            real_route = gateway._route
+            routing = threading.Event()
+
+            def slow_route(*args, **kwargs):
+                routing.set()
+                time.sleep(0.2)
+                return real_route(*args, **kwargs)
+
+            monkeypatch.setattr(gateway, "_route", slow_route)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                leader = pool.submit(gateway.submit, bad, name="leader")
+                assert routing.wait(timeout=10)
+                waiter = gateway.submit(bad, name="waiter")
+                results = [leader.result(timeout=30).result(timeout=30),
+                           waiter.result(timeout=30)]
+            assert [r.status for r in results] == ["rejected", "rejected"]
+            assert [r.name for r in results] == ["leader", "waiter"]
+            assert "parse_error" in results[1].reason
+            assert gateway.counters["coalesced"] == 1
+            assert gateway._coalesce == {}
+            again = gateway.submit(bad).result(timeout=30)
+            assert again.status == "rejected"
+            assert gateway.counters["coalesced"] == 1
 
     def test_coalesced_metric_published(self, text):
         registry, _ = obs.enable()
