@@ -1,8 +1,6 @@
 """Throughput microbenchmarks for the substrate itself (pytest-benchmark
 proper): how fast are the pieces the RL loop leans on — cloning, the Oz
 pipeline, embeddings, size/MCA measurement, one environment step — plus a
-cached-vs-uncached training-loop comparison for the incremental metrics
-engine (written to ``benchmarks/results/perf_metrics_cache.json``) and a
 batched-vs-serial training-throughput comparison for the vectorized
 trainer (``benchmarks/results/perf_train_vectorized.json``) and a
 batched-serving-vs-serial-predict comparison for the optimization
@@ -66,75 +64,6 @@ def test_env_step_throughput(benchmark, module):
     benchmark(step)
 
 
-def test_env_step_throughput_uncached(benchmark, module):
-    env = PhaseOrderingEnv(module, cache=False)
-
-    def step():
-        env.reset()
-        env.step(23)
-
-    benchmark(step)
-
-
-def _run_training_loop(module, episode_pool, cache: bool) -> float:
-    """Wall time of a repeated-episode loop, the RL hot pattern: an
-    ε-greedy agent revisits a handful of good sequences over and over."""
-    env = PhaseOrderingEnv(module, cache=cache)
-    start = time.perf_counter()
-    for actions in episode_pool:
-        env.reset()
-        for action in actions:
-            env.step(action)
-    return time.perf_counter() - start
-
-
-def test_metrics_cache_training_speedup(module):
-    """Cached training loop must be ≥3× faster than uncached on repeated
-    episodes, with bit-identical metrics; emits perf_metrics_cache.json."""
-    rng = np.random.RandomState(7)
-    distinct = [
-        [int(a) for a in rng.randint(0, 34, size=15)] for _ in range(3)
-    ]
-    # 18 episodes cycling over 3 sequences — exploitation-style revisits.
-    episode_pool = [distinct[i % len(distinct)] for i in range(18)]
-
-    uncached_s = _run_training_loop(module, episode_pool, cache=False)
-    cached_env = PhaseOrderingEnv(module, cache=True)
-    start = time.perf_counter()
-    final_sizes = []
-    for actions in episode_pool:
-        cached_env.reset()
-        for action in actions:
-            cached_env.step(action)
-        final_sizes.append(cached_env.last_size)
-    cached_s = time.perf_counter() - start
-
-    # Equivalence spot check: cached replays land on the uncached sizes.
-    check_env = PhaseOrderingEnv(module, cache=False)
-    for actions, cached_size in zip(episode_pool[:3], final_sizes[:3]):
-        check_env.rollout(actions)
-        assert check_env.last_size == cached_size
-
-    speedup = uncached_s / cached_s if cached_s > 0 else float("inf")
-    stats = cached_env.cache_stats()
-    payload = {
-        "episodes": len(episode_pool),
-        "steps_per_episode": 15,
-        "uncached_seconds": round(uncached_s, 4),
-        "cached_seconds": round(cached_s, 4),
-        "speedup": round(speedup, 2),
-        "cache_stats": stats,
-    }
-    save_results("perf_metrics_cache", payload)
-    print(
-        f"\ntraining-loop speedup: {speedup:.1f}x "
-        f"(uncached {uncached_s:.3f}s vs cached {cached_s:.3f}s), "
-        f"transition hit rate "
-        f"{stats['transitions']['hit_rate']:.0%}"
-    )
-    assert speedup >= 3.0, payload
-
-
 # -- vectorized training -----------------------------------------------------
 
 N_ENVS = 8
@@ -179,8 +108,8 @@ def _decision_path_seconds(states, reps: int, batched: bool) -> float:
 
 
 def test_train_vectorized_speedup():
-    """Batched training throughput vs the serial loop, metrics cache
-    disabled throughout; emits perf_train_vectorized.json.
+    """Batched training throughput vs the serial loop, each side on a
+    fresh facade (cold metrics caches); emits perf_train_vectorized.json.
 
     Two measurements:
 
@@ -190,10 +119,10 @@ def test_train_vectorized_speedup():
       ``n_envs=8``; environment stepping is excluded, so this holds on
       any core count.
     * **end to end** — ``PosetRL.train`` vs ``train_vectorized`` on the
-      same uncached corpus and step budget. Reported (not asserted ≥2×):
-      uncached stepping is dominated by the pass pipeline + measurement,
-      which in-process lockstep cannot parallelize — on a single core it
-      lands near 1×; ``workers=N`` moves it toward N× on multi-core.
+      same corpus and step budget. Reported (not asserted ≥2×): stepping
+      is dominated by the pass pipeline + measurement, which in-process
+      lockstep cannot parallelize — on a single core it lands near 1×;
+      ``workers=N`` moves it toward N× on multi-core.
     """
     corpus = [
         (
@@ -205,7 +134,7 @@ def test_train_vectorized_speedup():
         for i in range(4)
     ]
     # Real observation vectors: the base embeddings of 8 programs.
-    engine = MetricsEngine(enabled=False)
+    engine = MetricsEngine()
     states = np.stack([
         engine.embedding(
             generate_program(
@@ -227,10 +156,10 @@ def test_train_vectorized_speedup():
     decision_speedup = serial_s / batched_s if batched_s else float("inf")
 
     total_steps = 120
-    vec_agent = PosetRL(seed=0, cache=False)
+    vec_agent = PosetRL(seed=0)
     vec_agent.train_vectorized(corpus, total_steps=total_steps, n_envs=N_ENVS)
     vec_report = vec_agent.last_train_throughput
-    serial_agent = PosetRL(seed=0, cache=False)
+    serial_agent = PosetRL(seed=0)
     serial_agent.train(
         corpus, episodes=total_steps // serial_agent.episode_length
     )
@@ -252,13 +181,13 @@ def test_train_vectorized_speedup():
             "batched_steps_per_second": round(steps / batched_s, 1),
             "speedup": round(decision_speedup, 2),
         },
-        "end_to_end_uncached": {
+        "end_to_end": {
             "serial": serial_report.as_dict(),
             "vectorized": vec_report.as_dict(),
             "speedup": round(e2e_speedup, 2),
             "note": (
-                "in-process lockstep; env stepping dominates uncached and "
-                "is serial on one core — use workers=N for multi-core scaling"
+                "in-process lockstep; env stepping dominates and is serial "
+                "on one core — use workers=N for multi-core scaling"
             ),
         },
     }
@@ -267,7 +196,7 @@ def test_train_vectorized_speedup():
         f"\ndecision-path speedup at n_envs={N_ENVS}: "
         f"{decision_speedup:.2f}x "
         f"({1e6 * serial_s / steps:.1f}us -> {1e6 * batched_s / steps:.1f}us "
-        f"per step); end-to-end uncached {e2e_speedup:.2f}x "
+        f"per step); end-to-end {e2e_speedup:.2f}x "
         f"({serial_report.steps_per_second:.0f} -> "
         f"{vec_report.steps_per_second:.0f} steps/s)"
     )
@@ -394,8 +323,8 @@ def test_observability_overhead():
     Two claims, two checks:
 
     * **Enabled is cheap (<5%).** The serving hot path's per-request
-      work — uncached episode rollouts, every step running its pass and
-      re-measuring the module — is driven single-threaded and
+      work — episode rollouts on a fresh engine per round, every step
+      running its pass and re-measuring the module — is driven single-threaded and
       deterministically (the exact loop the scheduler runs per session,
       minus thread-scheduling noise) with observability off and on. The
       enabled side — per-pass StatsTimer records, pipeline span
@@ -431,8 +360,8 @@ def test_observability_overhead():
     )
 
     def run_episode() -> float:
-        """CPU seconds for one full uncached rollout."""
-        engine = MetricsEngine(enabled=False)
+        """CPU seconds for one full rollout on a fresh (cold) engine."""
+        engine = MetricsEngine()
         env = PhaseOrderingEnv(
             work_module, agent.actions, target=agent.target,
             episode_length=agent.episode_length, metrics=engine,
@@ -610,7 +539,7 @@ def test_observability_overhead():
         f"\nobservability overhead on the serving hot path: "
         f"{100 * overhead:+.2f}% "
         f"(median of {work_rounds} paired-round CPU-time ratios on "
-        f"uncached rollouts, {len(work_attempts)} attempt(s)); "
+        f"cold-engine rollouts, {len(work_attempts)} attempt(s)); "
         f"publication cost {publication_us:.1f}us/request on served "
         f"null requests"
     )

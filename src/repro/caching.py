@@ -1,8 +1,8 @@
 """Bounded LRU caches with hit/miss/eviction accounting.
 
-The incremental metrics engine (``repro.core.metrics``) keys expensive
-per-function computations — codegen size, MCA scheduling, IR2Vec
-embeddings — and whole environment transitions on structural fingerprints
+The incremental metrics engine (``repro.core.metrics``) keys its
+per-function measurement records — codegen size, MCA scheduling, IR2Vec
+embedding — and whole environment transitions on structural fingerprints
 (``repro.ir.fingerprint``). All of those caches are instances of
 :class:`LRUCache`, so hit rates and memory bounds are uniform and
 observable everywhere.
@@ -169,6 +169,14 @@ class LRUCache:
         self.hits += 1
         self._data.move_to_end(key)
         return value
+
+    def peek(self, key: Hashable, default: Any = None) -> Any:
+        """``get`` without counting a hit or a miss or refreshing recency:
+        for a second reader of an entry a counted ``get`` already found."""
+        if self._lock is not None:
+            with self._lock:
+                return self._data.get(key, default)
+        return self._data.get(key, default)
 
     def put(self, key: Hashable, value: Any) -> None:
         if self._lock is not None:

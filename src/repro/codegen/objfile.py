@@ -10,11 +10,9 @@ overhead. This is the quantity the POSET-RL reward's BinSize terms measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import List
 
 from ..analysis.liveness import Liveness
-from ..caching import LRUCache
-from ..ir.fingerprint import function_fingerprint
 from ..ir.flat import FlatFunction, byte_row
 from ..ir.instructions import Alloca
 from ..ir.module import Function, Module
@@ -121,53 +119,30 @@ def _global_data_bytes(gv: GlobalVariable) -> int:
     return size
 
 
-def object_size(
-    module: Module,
-    target="x86-64",
-    cache: Optional[LRUCache] = None,
-    fingerprints: Optional[Mapping[str, str]] = None,
-    flat=None,
-) -> SizeReport:
-    """Size of the object file produced from ``module`` for ``target``.
-
-    With ``cache`` (an :class:`~repro.caching.LRUCache`), per-function text
-    sizes are memoized on the function's structural fingerprint: a module
-    where only one of N functions changed re-lowers only that function.
-
-    ``fingerprints`` (name → digest) supplies fingerprints already computed
-    this step so each function is hashed at most once. ``flat`` (a
-    :class:`~repro.ir.flat.FlatCore` for the same target) sizes functions
-    from their flat machine-op counts instead of re-lowering.
-    """
+def object_size(module: Module, target="x86-64") -> SizeReport:
+    """Size of the object file produced from ``module`` for ``target``."""
     if isinstance(target, str):
         target = get_target(target)
-    if flat is not None and flat.descriptor.name != target.name:
-        flat = None
-    report = SizeReport(target=target.name)
+    return _size_from_functions(module, target, [
+        function_text_size(fn, target)
+        for fn in module.functions
+        if not fn.is_declaration
+    ])
 
+
+def _size_from_functions(
+    module: Module,
+    target: TargetDescriptor,
+    per_fn: List[FunctionSizeReport],
+) -> SizeReport:
+    """Combine per-function text sizes (one per defined function, in
+    module order) with the module's symbol, data and header bytes."""
+    report = SizeReport(target=target.name, functions=per_fn)
     for fn in module.functions:
-        if fn.is_declaration:
-            if fn.has_uses:  # undefined symbol referenced -> symtab entry
-                report.symbol_bytes += SYMBOL_ENTRY_BYTES
-            continue
-        if cache is not None or flat is not None:
-            fp = fingerprints.get(fn.name) if fingerprints is not None else None
-            if fp is None:
-                fp = function_fingerprint(fn)
-        if cache is not None:
-            key = (fp, target.name)
-            fr = cache.get(key)
-            if fr is None:
-                if flat is not None:
-                    fr = flat_function_text_size(flat.get(fn, fp), target)
-                else:
-                    fr = function_text_size(fn, target)
-                cache.put(key, fr)
-        elif flat is not None:
-            fr = flat_function_text_size(flat.get(fn, fp), target)
-        else:
-            fr = function_text_size(fn, target)
-        report.functions.append(fr)
+        # An undefined symbol that is referenced costs a symtab entry.
+        if fn.is_declaration and fn.has_uses:
+            report.symbol_bytes += SYMBOL_ENTRY_BYTES
+    for fr in per_fn:
         report.text_bytes += fr.text_bytes
         report.symbol_bytes += SYMBOL_ENTRY_BYTES
 

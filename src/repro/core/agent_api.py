@@ -130,7 +130,6 @@ class PosetRL:
         double_dqn: bool = True,
         algo: Optional[str] = None,
         seed: int = 0,
-        cache: bool = True,
     ):
         self.action_space_kind = action_space
         self.actions = make_action_space(action_space)
@@ -140,7 +139,7 @@ class PosetRL:
         #: One incremental metrics engine shared by every environment this
         #: facade creates — the cross-episode/cross-module reuse is where
         #: the training-loop speedup comes from.
-        self.metrics = MetricsEngine(target=target, enabled=cache)
+        self.metrics = MetricsEngine(target)
         if algo is None:
             algo = "ddqn" if double_dqn else "dqn"
         if algo not in ("ddqn", "dqn", "prioritized-ddqn", "ppo"):
@@ -292,7 +291,6 @@ class PosetRL:
                 target=self.target,
                 weights=self.weights,
                 episode_length=self.episode_length,
-                cache=self.metrics.enabled,
             )
             return VectorPhaseOrderingEnv(
                 modules, n_envs, rng=self._rng, workers=workers, spec=spec
@@ -438,7 +436,6 @@ class PosetRL:
                 target=self.target,
                 weights=self.weights,
                 episode_length=self.episode_length,
-                cache=self.metrics.enabled,
                 algo=self.algo,
                 num_actions=len(self.actions),
                 epsilon_start=c.epsilon_start,
@@ -505,7 +502,7 @@ class PosetRL:
         :meth:`apply_actions` call that usually follows.
         """
         env = self.make_env(module)
-        fingerprint = env.fingerprint or self.metrics.fingerprint(module)
+        fingerprint = env.fingerprint
         actions, optimized = greedy_rollout(
             env, lambda state: self.agent.act(state, greedy=True)
         )

@@ -10,7 +10,7 @@ Metrics are produced through a :class:`~repro.core.metrics.MetricsEngine`:
 per-function size/MCA/embedding results are memoized on structural
 fingerprints, and whole ``(state, action)`` transitions are cached so that
 revisited prefixes (ubiquitous under ε-greedy training) skip the pass
-pipeline entirely. ``cache=False`` restores the plain uncached paths.
+pipeline entirely.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..embeddings.ir2vec import IR2VecEncoder
 from ..ir.module import Module
 from ..passes.base import PassManager
 from .metrics import MetricsEngine, Transition
@@ -85,40 +84,25 @@ class PhaseOrderingEnv:
         target: str = "x86-64",
         weights: Optional[RewardWeights] = None,
         episode_length: int = DEFAULT_EPISODE_LENGTH,
-        encoder: Optional[IR2VecEncoder] = None,
         metrics: Optional[MetricsEngine] = None,
-        cache: bool = True,
     ):
         self.original = module
         self.action_space = action_space or ActionSpace(PAPER_ODG_SUBSEQUENCES)
         self.target = target
         self.weights = weights if weights is not None else RewardWeights()
         self.episode_length = episode_length
-        if metrics is not None:
-            self.metrics = metrics
-        else:
-            self.metrics = MetricsEngine(
-                target=target, encoder=encoder, enabled=cache
-            )
+        self.metrics = metrics if metrics is not None else MetricsEngine(target)
         self.encoder = self.metrics.encoder
 
         # Baseline ("without any optimization") metrics — Eqns 2-3
         # denominators — computed once. Per-function fingerprints are
         # computed once here and threaded through every consumer.
-        base_fps = (
-            self.metrics.function_fingerprints(module)
-            if self.metrics.enabled
-            else None
-        )
+        base_fps = self.metrics.function_fingerprints(module)
         self.base_size = self.metrics.size(module, base_fps).total_bytes
         self.base_throughput = self.metrics.throughput(
             module, base_fps
         ).throughput
-        self._base_fingerprint: Optional[str] = (
-            self.metrics.fingerprint(module, base_fps)
-            if self.metrics.enabled
-            else None
-        )
+        self._base_fingerprint = self.metrics.fingerprint(module, base_fps)
 
         # ``current`` is materialized lazily: ``_pending`` references a
         # read-only snapshot (the original, or a transition-cache entry)
@@ -155,13 +139,9 @@ class PhaseOrderingEnv:
         self._pending = None
 
     @property
-    def fingerprint(self) -> Optional[str]:
-        """Structural fingerprint of the current module.
-
-        Maintained incrementally along the transition-cache chain; ``None``
-        when the metrics engine is disabled (callers fall back to
-        fingerprinting the materialized module themselves).
-        """
+    def fingerprint(self) -> str:
+        """Structural fingerprint of the current module, maintained
+        incrementally along the transition-cache chain."""
         return self._fingerprint
 
     # -- gym-style API ---------------------------------------------------------
@@ -174,7 +154,7 @@ class PhaseOrderingEnv:
         return self.encoder.dimension
 
     def observe(self) -> np.ndarray:
-        if self.metrics.enabled and self._state is not None:
+        if self._state is not None:
             return self._state
         # Embedding is a pure read: no need to materialize a mutable copy.
         module = self._pending if self._pending is not None else self.current
@@ -188,14 +168,10 @@ class PhaseOrderingEnv:
         self.last_throughput = self.base_throughput
         self.history = []
         self._fingerprint = self._base_fingerprint
-        self._state = None
-        if self.metrics.enabled:
-            if self._base_state is None:
-                self._base_state = self.metrics.embedding(self.original)
-                self._base_state.setflags(write=False)
-            self._state = self._base_state
-            return self._state
-        self._state = self.observe()
+        if self._base_state is None:
+            self._base_state = self.metrics.embedding(self.original)
+            self._base_state.setflags(write=False)
+        self._state = self._base_state
         return self._state
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool, StepInfo]:
@@ -203,19 +179,8 @@ class PhaseOrderingEnv:
             raise IndexError(f"action {action} out of range")
         passes = self.action_space.passes_for(action)
 
-        if self.metrics.enabled:
-            (size, throughput, changed, cache_hit,
-             passes_s, measure_s) = self._cached_apply(action)
-        else:
-            start = time.perf_counter()
-            changed = self.action_space.apply(action, self.current)
-            passes_s = time.perf_counter() - start
-            cache_hit = False
-            size = self.metrics.size(self.current).total_bytes
-            throughput = self.metrics.throughput(self.current).throughput
-            self._state = self.observe()
-            measure_s = time.perf_counter() - start - passes_s
-
+        (size, throughput, changed, cache_hit,
+         passes_s, measure_s) = self._cached_apply(action)
         reward = combined_reward(
             self.last_size,
             size,
@@ -243,8 +208,7 @@ class PhaseOrderingEnv:
         self.last_throughput = throughput
         self.steps += 1
         done = self.steps >= self.episode_length
-        state = self._state if self._state is not None else self.observe()
-        return state, reward, done, info
+        return self.observe(), reward, done, info
 
     def _cached_apply(
         self, action: int
@@ -256,11 +220,7 @@ class PhaseOrderingEnv:
         / ``self._fingerprint`` describing the post-action module.
         """
         engine = self.metrics
-        assert engine.transitions is not None
         fingerprint = self._fingerprint
-        if fingerprint is None:
-            fingerprint = engine.fingerprint(self.current)
-
         hit = engine.transitions.get(fingerprint, action)
         if hit is not None:
             if hit.module is not None:
@@ -302,7 +262,7 @@ class PhaseOrderingEnv:
         else:
             size, throughput = self.last_size, self.last_throughput
             cycles = 0.0
-            embedding = self._state if self._state is not None else self.observe()
+            embedding = self.observe()
             snapshot = None
         # The state array is shared between the cache, the env and the
         # agent: freeze it so an accidental in-place edit cannot corrupt

@@ -6,16 +6,18 @@ All three decompose into per-function parts that only change when the
 function's body changes, so the engine memoizes them on structural
 fingerprints (:mod:`repro.ir.fingerprint`):
 
-* per-function codegen size / MCA report / embedding — shared LRU caches
-  threaded into :func:`~repro.codegen.objfile.object_size`,
-  :func:`~repro.mca.sched.estimate_throughput` and
-  :class:`~repro.embeddings.ir2vec.IR2VecEncoder`;
+* per function — one :class:`FunctionRecord` (size row, MCA report plus
+  outgoing call counts, embedding) per fingerprint, in one LRU. A miss
+  flattens the function once (:func:`~repro.ir.flat.build_flat_function`),
+  runs the three flat kernels on the view and drops it;
 * whole transitions — ``(module_fingerprint, action) →`` result metrics
   plus a snapshot of the resulting module, so an ε-greedy agent revisiting
   a known prefix skips the pass pipeline entirely.
 
-Results are combined in the same order as the uncached code paths, so a
-cached measurement is bit-identical to an uncached one.
+Records are combined by the same module-level steps the standalone
+object-walk measurements use (``object_size``, ``estimate_throughput``,
+``IR2VecEncoder.program_embedding``), so an engine measurement is
+bit-identical to a standalone one.
 
 One engine is intended to be shared across environments and episodes
 (:class:`~repro.core.agent_api.PosetRL` owns one); fingerprint keys make
@@ -26,22 +28,49 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..caching import LRUCache
-from ..codegen.objfile import SizeReport, object_size
-from ..embeddings.ir2vec import IR2VecEncoder
+from ..codegen.objfile import (
+    FunctionSizeReport,
+    SizeReport,
+    _size_from_functions,
+    flat_function_text_size,
+)
+from ..codegen.target import get_target
+from ..embeddings.ir2vec import IR2VecEncoder, _embedding_from_functions
 from ..ir.fingerprint import function_fingerprint, module_fingerprint
-from ..ir.flat import FlatCore
-from ..ir.module import Module
-from ..mca.sched import McaSummary, estimate_throughput
+from ..ir.flat import build_flat_function
+from ..ir.module import Function, Module
+from ..mca.ports import get_port_model
+from ..mca.sched import (
+    FunctionReport,
+    McaSummary,
+    _summary_from_functions,
+    flat_analyze_function,
+    flat_call_counts,
+)
+from ..observability import get_registry
 
-#: Default per-function cache capacity (entries are small reports/vectors).
-DEFAULT_FUNCTION_CACHE_SIZE = 16384
-#: Default transition cache capacity (entries hold a module snapshot).
-DEFAULT_TRANSITION_CACHE_SIZE = 2048
+#: Per-function record cache capacity (entries are small reports/vectors).
+FUNCTION_CACHE_SIZE = 16384
+#: Transition cache capacity (entries hold a module snapshot).
+TRANSITION_CACHE_SIZE = 2048
+
+
+@dataclass(frozen=True)
+class FunctionRecord:
+    """Everything one function definition contributes to a measurement.
+
+    Holds results only — no object IR and no flat view."""
+
+    size: FunctionSizeReport
+    #: ``(FunctionReport, outgoing call counts)`` for the MCA combine.
+    mca: Tuple[FunctionReport, Dict[str, float]]
+    #: Frozen (non-writeable): shared by every lookup.
+    embedding: np.ndarray
 
 
 @dataclass
@@ -76,7 +105,7 @@ class TransitionCache:
 
     def __init__(
         self,
-        capacity: int = DEFAULT_TRANSITION_CACHE_SIZE,
+        capacity: int = TRANSITION_CACHE_SIZE,
         name: Optional[str] = "transitions",
         lock=None,
     ):
@@ -104,67 +133,76 @@ class TransitionCache:
 
 
 class MetricsEngine:
-    """Fingerprint-keyed memoization for size / throughput / embedding.
+    """Fingerprint-keyed memoization for size / throughput / embedding."""
 
-    ``enabled=False`` degrades to the plain uncached code paths (the
-    baseline the equivalence tests and microbenchmarks compare against).
-    """
-
-    def __init__(
-        self,
-        target: str = "x86-64",
-        encoder: Optional[IR2VecEncoder] = None,
-        enabled: bool = True,
-        function_cache_size: int = DEFAULT_FUNCTION_CACHE_SIZE,
-        transition_cache_size: int = DEFAULT_TRANSITION_CACHE_SIZE,
-        threadsafe: bool = False,
-        flat: bool = True,
-    ):
+    def __init__(self, target: str = "x86-64", threadsafe: bool = False):
         self.target = target
-        self.enabled = enabled
-        self.function_cache_size = function_cache_size
-        self.transition_cache_size = transition_cache_size
         #: ``threadsafe=True`` guards every cache with one shared lock —
         #: required when the engine is reachable from more than one thread
         #: (the serving scheduler's engines are also read by client-thread
         #: ``stats()`` calls). Training keeps the lock-free default.
         self.threadsafe = threadsafe
-        #: ``flat=True`` keeps a :class:`~repro.ir.flat.FlatCore` alive
-        #: across steps: cache misses measure through the struct-of-arrays
-        #: kernels (bit-identical results), rebuilding only functions whose
-        #: fingerprint changed.
-        self.flat = flat
+        self._descriptor = get_target(target)
+        self._model = get_port_model(target)
+        self.encoder = IR2VecEncoder()
         self._init_caches()
-        self.encoder = encoder or IR2VecEncoder()
-        if enabled and self.encoder.function_cache is None:
-            self.encoder.function_cache = self._embedding_cache
 
     def _init_caches(self) -> None:
-        if self.enabled:
-            lock = threading.Lock() if self.threadsafe else None
-            self.size_cache: Optional[LRUCache] = LRUCache(
-                self.function_cache_size, name="size", lock=lock
-            )
-            self.mca_cache: Optional[LRUCache] = LRUCache(
-                self.function_cache_size, name="mca", lock=lock
-            )
-            self._embedding_cache: Optional[LRUCache] = LRUCache(
-                self.function_cache_size, name="embedding", lock=lock
-            )
-            self.transitions: Optional[TransitionCache] = TransitionCache(
-                self.transition_cache_size, lock=lock
-            )
-            self._flat_core: Optional[FlatCore] = (
-                FlatCore(self.target, self.function_cache_size, lock=lock)
-                if self.flat
-                else None
-            )
-        else:
-            self.size_cache = None
-            self.mca_cache = None
-            self._embedding_cache = None
-            self.transitions = None
-            self._flat_core = None
+        lock = threading.Lock() if self.threadsafe else None
+        self.functions = LRUCache(
+            FUNCTION_CACHE_SIZE, name="functions", lock=lock
+        )
+        self.transitions = TransitionCache(TRANSITION_CACHE_SIZE, lock=lock)
+        self.flat_builds = 0
+        self.flat_row_rebuilds = 0
+        registry = get_registry()
+        self._builds_counter = registry.counter(
+            "repro_ir_flat_builds_total",
+            "FlatFunction builds (function record misses)",
+        )
+        self._rows_counter = registry.counter(
+            "repro_ir_flat_row_rebuilds_total",
+            "Instruction rows flattened by builds",
+        )
+
+    # -- per-function records ------------------------------------------------
+    def _build_record(self, fn: Function, fingerprint: str) -> FunctionRecord:
+        """Flatten ``fn`` once, run the three kernels, keep the results."""
+        ff = build_flat_function(fn, self._descriptor, self._model)
+        self.flat_builds += 1
+        self.flat_row_rebuilds += ff.n_inst
+        self._builds_counter.inc()
+        self._rows_counter.inc(ff.n_inst)
+        embedding = self.encoder.flat_function_embedding(ff)
+        embedding.setflags(write=False)
+        record = FunctionRecord(
+            size=flat_function_text_size(ff, self._descriptor),
+            mca=(flat_analyze_function(ff, self._model), flat_call_counts(ff)),
+            embedding=embedding,
+        )
+        self.functions.put(fingerprint, record)
+        return record
+
+    def _records(
+        self,
+        module: Module,
+        fingerprints: Optional[Mapping[str, str]],
+        lookup: Callable[[str], Optional[FunctionRecord]],
+    ) -> Dict[str, FunctionRecord]:
+        """``name → record`` for every defined function, in module order,
+        building the missing ones."""
+        records: Dict[str, FunctionRecord] = {}
+        for fn in module.functions:
+            if fn.is_declaration:
+                continue
+            fp = fingerprints.get(fn.name) if fingerprints else None
+            if fp is None:
+                fp = function_fingerprint(fn)
+            record = lookup(fp)
+            if record is None:
+                record = self._build_record(fn, fp)
+            records[fn.name] = record
+        return records
 
     # -- measurements ------------------------------------------------------
     def function_fingerprints(self, module: Module) -> Dict[str, str]:
@@ -186,12 +224,11 @@ class MetricsEngine:
         module: Module,
         fingerprints: Optional[Mapping[str, str]] = None,
     ) -> SizeReport:
-        return object_size(
-            module,
-            self.target,
-            cache=self.size_cache,
-            fingerprints=fingerprints,
-            flat=self._flat_core,
+        """Object size. The one counted record lookup of a measurement:
+        :meth:`measure` calls this first, so record builds land here."""
+        records = self._records(module, fingerprints, self.functions.get)
+        return _size_from_functions(
+            module, self._descriptor, [r.size for r in records.values()]
         )
 
     def throughput(
@@ -199,12 +236,11 @@ class MetricsEngine:
         module: Module,
         fingerprints: Optional[Mapping[str, str]] = None,
     ) -> McaSummary:
-        return estimate_throughput(
+        records = self._records(module, fingerprints, self.functions.peek)
+        return _summary_from_functions(
             module,
-            self.target,
-            cache=self.mca_cache,
-            fingerprints=fingerprints,
-            flat=self._flat_core,
+            self._descriptor.name,
+            {name: r.mca for name, r in records.items()},
         )
 
     def embedding(
@@ -212,8 +248,9 @@ class MetricsEngine:
         module: Module,
         fingerprints: Optional[Mapping[str, str]] = None,
     ) -> np.ndarray:
-        return self.encoder.program_embedding(
-            module, fingerprints=fingerprints, flat=self._flat_core
+        records = self._records(module, fingerprints, self.functions.peek)
+        return _embedding_from_functions(
+            self.encoder.dimension, [r.embedding for r in records.values()]
         )
 
     def measure(
@@ -222,9 +259,7 @@ class MetricsEngine:
         fingerprints: Optional[Mapping[str, str]] = None,
     ) -> ModuleMetrics:
         """Size, throughput and state embedding in one shot."""
-        if fingerprints is None and (
-            self.enabled or self._flat_core is not None
-        ):
+        if fingerprints is None:
             fingerprints = self.function_fingerprints(module)
         size_report = self.size(module, fingerprints)
         mca = self.throughput(module, fingerprints)
@@ -240,49 +275,29 @@ class MetricsEngine:
     # -- observability -----------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss/eviction counters for every cache, JSON-friendly."""
-        if not self.enabled:
-            return {"enabled": {"enabled": 0.0}}
-        assert (
-            self.size_cache is not None
-            and self.mca_cache is not None
-            and self._embedding_cache is not None
-            and self.transitions is not None
-        )
-        out = {
-            "size": self.size_cache.stats.as_dict(),
-            "mca": self.mca_cache.stats.as_dict(),
-            "embedding": self._embedding_cache.stats.as_dict(),
+        functions = self.functions.stats.as_dict()
+        return {
+            "functions": functions,
             "transitions": self.transitions.stats.as_dict(),
+            "flat": {
+                "builds": float(self.flat_builds),
+                "row_rebuilds": float(self.flat_row_rebuilds),
+            },
+            # Benchmark alias: perfbench/run.py sums these three keys for
+            # its function-cache hit ratio. Delete once it reads
+            # "functions".
+            "size": functions, "mca": functions, "embedding": functions,
         }
-        if self._flat_core is not None:
-            out["flat"] = self._flat_core.stats_dict()
-        return out
 
     def clear(self) -> None:
-        if self.enabled:
-            self._init_caches()
-            self.encoder.function_cache = self._embedding_cache
+        self._init_caches()
 
     # -- pickling ----------------------------------------------------------
     # Engines ride along when a PosetRL facade is shipped to evaluation
     # worker processes; cache contents (which include module snapshots that
     # do not pickle) are dropped and rebuilt empty on the other side.
     def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "target": self.target,
-            "enabled": self.enabled,
-            "function_cache_size": self.function_cache_size,
-            "transition_cache_size": self.transition_cache_size,
-            "threadsafe": self.threadsafe,
-            "flat": self.flat,
-        }
+        return {"target": self.target, "threadsafe": self.threadsafe}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.target = state["target"]
-        self.enabled = state["enabled"]
-        self.function_cache_size = state["function_cache_size"]
-        self.transition_cache_size = state["transition_cache_size"]
-        self.threadsafe = state.get("threadsafe", False)
-        self.flat = state.get("flat", True)
-        self._init_caches()
-        self.encoder = IR2VecEncoder(function_cache=self._embedding_cache)
+        self.__init__(state["target"], state["threadsafe"])

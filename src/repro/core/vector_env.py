@@ -25,7 +25,7 @@ Two execution modes:
 * **worker processes** (``workers=k``): slots are partitioned over ``k``
   child processes, each stepping its share of environments while the
   others run — on multi-core machines this parallelizes the expensive
-  pass-pipeline/measurement work that dominates uncached stepping.
+  pass-pipeline/measurement work that dominates cache-miss stepping.
   ``Module`` objects do not pickle, so modules cross the process boundary
   once per (worker, benchmark) as printed IR text, the same convention as
   :func:`repro.core.evaluate.evaluate_suite`. Each worker owns a private
@@ -72,7 +72,6 @@ class EnvSpec:
     target: str = "x86-64"
     weights: Optional[RewardWeights] = None
     episode_length: int = DEFAULT_EPISODE_LENGTH
-    cache: bool = True
 
 
 def _env_worker(conn, spec: EnvSpec) -> None:
@@ -88,7 +87,7 @@ def _env_worker(conn, spec: EnvSpec) -> None:
     * ``("close",)`` → exit.
     """
     action_space = make_action_space(spec.action_space_kind)
-    engine = MetricsEngine(target=spec.target, enabled=spec.cache)
+    engine = MetricsEngine(spec.target)
     # Parsed modules are shared per name; envs are cached per *slot* —
     # two slots running the same benchmark need independent mutable
     # environments (they share metrics through ``engine`` instead).
@@ -185,7 +184,7 @@ class VectorPhaseOrderingEnv:
             if env_factory is None:
                 if spec is not None:
                     s = spec
-                    shared = MetricsEngine(target=s.target, enabled=s.cache)
+                    shared = MetricsEngine(s.target)
                     space = make_action_space(s.action_space_kind)
 
                     def env_factory(module: Module) -> PhaseOrderingEnv:

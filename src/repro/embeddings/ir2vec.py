@@ -12,14 +12,12 @@ signal the size reward pays for); the DQN consumes these as 300-d states.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.liveness import Liveness
 from ..analysis.reaching import ReachingStores
-from ..caching import LRUCache
-from ..ir.fingerprint import function_fingerprint
 from ..ir.flat import (
     OPCODE_TABLE,
     OPERAND_KINDS,
@@ -61,23 +59,11 @@ def _weighted_reduce(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 class IR2VecEncoder:
-    """Produces instruction / function / program embeddings.
+    """Produces instruction / function / program embeddings."""
 
-    ``function_cache`` (an :class:`~repro.caching.LRUCache`) memoizes
-    function embeddings on the function's structural fingerprint, so a
-    program embedding after a localized mutation re-encodes only the
-    changed functions. Cached vectors are frozen (non-writeable) because
-    they are shared between lookups.
-    """
-
-    def __init__(
-        self,
-        vocabulary: Optional[Vocabulary] = None,
-        function_cache: Optional[LRUCache] = None,
-    ):
+    def __init__(self, vocabulary: Optional[Vocabulary] = None):
         self.vocab = vocabulary or default_vocabulary()
         self.dimension = self.vocab.dimension
-        self.function_cache = function_cache
         # Weight-premultiplied seed vectors (Wo·opcode, Wt·type, Wa·kind):
         # both the scalar and flat paths consume these products, so the
         # single table multiplication replaces one per accumulation.
@@ -145,37 +131,11 @@ class IR2VecEncoder:
         return flowed
 
     # -- level 2: function and program embeddings -----------------------------
-    def function_embedding(
-        self,
-        fn: Function,
-        fingerprint: Optional[str] = None,
-        flat=None,
-    ) -> np.ndarray:
-        """Embedding of one function.
-
-        ``fingerprint`` reuses a digest computed earlier this step (the
-        cache key); ``flat`` (a :class:`~repro.ir.flat.FlatCore`) encodes
-        through the gather/matmul kernel instead of the object walk.
-        """
+    def function_embedding(self, fn: Function) -> np.ndarray:
+        """Embedding of one function (zeros for a declaration)."""
         if fn.is_declaration:
             return np.zeros(self.dimension)
-        if self.function_cache is None and flat is None:
-            return self._compute_function_embedding(fn)
-        if fingerprint is None:
-            fingerprint = function_fingerprint(fn)
-        if self.function_cache is not None:
-            cached = self.function_cache.get(fingerprint)
-            if cached is None:
-                if flat is not None:
-                    cached = self.flat_function_embedding(
-                        flat.get(fn, fingerprint)
-                    )
-                else:
-                    cached = self._compute_function_embedding(fn)
-                cached.setflags(write=False)
-                self.function_cache.put(fingerprint, cached)
-            return cached
-        return self.flat_function_embedding(flat.get(fn, fingerprint))
+        return self._compute_function_embedding(fn)
 
     def _compute_function_embedding(self, fn: Function) -> np.ndarray:
         flowed = self.function_instruction_embeddings(fn)
@@ -238,12 +198,7 @@ class IR2VecEncoder:
         weights[ff.is_void] = 1.0
         return _weighted_reduce(flowed, weights)
 
-    def program_embedding(
-        self,
-        module: Module,
-        fingerprints: Optional[Mapping[str, str]] = None,
-        flat=None,
-    ) -> np.ndarray:
+    def program_embedding(self, module: Module) -> np.ndarray:
         """The RL state vector: 300-d, float32.
 
         As in IR2Vec, the program embedding is the *sum* of function
@@ -252,16 +207,22 @@ class IR2VecEncoder:
         erase exactly the signal the reward pays for). A constant scale
         keeps values in a comfortable range for the Q-network.
         """
-        total = np.zeros(self.dimension)
-        for fn in module.functions:
-            if not fn.is_declaration:
-                fp = (
-                    fingerprints.get(fn.name)
-                    if fingerprints is not None
-                    else None
-                )
-                total += self.function_embedding(fn, fingerprint=fp, flat=flat)
-        return (total / 100.0).astype(np.float32)
+        return _embedding_from_functions(self.dimension, [
+            self._compute_function_embedding(fn)
+            for fn in module.functions
+            if not fn.is_declaration
+        ])
+
+
+def _embedding_from_functions(
+    dimension: int, per_fn: List[np.ndarray]
+) -> np.ndarray:
+    """Sum function embeddings (defined functions, module order) into the
+    scaled float32 program embedding."""
+    total = np.zeros(dimension)
+    for vec in per_fn:
+        total += vec
+    return (total / 100.0).astype(np.float32)
 
 
 _DEFAULT_ENCODER = IR2VecEncoder()

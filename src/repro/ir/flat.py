@@ -6,38 +6,34 @@ view the passes mutate. This module mirrors one *function* of it into a
 operand-kind counts, block boundaries as offset arrays), the lowered
 machine-op stream as per-block count matrices, dependence structure as
 CSR adjacency, and the analysis results every metric consumer reads
-(block frequencies, liveness spans, reaching-store flow edges). The four
-hot consumers — packed fingerprints (:mod:`repro.ir.fingerprint`),
-:func:`repro.codegen.objfile.object_size`,
-:func:`repro.mca.sched.estimate_throughput` and the
-:class:`repro.embeddings.ir2vec.IR2VecEncoder` — run as array kernels
-over these views instead of per-instruction Python walks.
+(block frequencies, liveness spans, reaching-store flow edges). The
+metric kernels — :func:`repro.codegen.objfile.flat_function_text_size`,
+:func:`repro.mca.sched.flat_analyze_function` and
+:meth:`repro.embeddings.ir2vec.IR2VecEncoder.flat_function_embedding` —
+run as array code over these views instead of per-instruction Python
+walks.
 
-Invalidation is per function, by structural fingerprint: the
-:class:`FlatCore` keeps an LRU of ``fingerprint → FlatFunction`` and only
-rebuilds a function whose digest changed, so a module where one of N
-functions mutated re-flattens only that function's rows.
+Views are transient. The metrics engine (:mod:`repro.core.metrics`)
+builds one when its fingerprint-keyed record cache misses on a function,
+runs the size, MCA and embedding kernels on it, keeps only their results
+and drops the view; a module where one of N functions mutated therefore
+re-flattens only that function's rows.
 
 Every kernel is required to be **bit-identical** to the object-walking
-path (the transition cache compares cached and uncached rollouts with
-``==``/``array_equal``). The build therefore records not just *what* the
-object analyses compute but the *order* the scalar loops combine floats
-in: flow edges keep operand-then-reaching-store order per instruction,
-call edges keep instruction order, and the consumers replicate the exact
-sequence of IEEE-754 operations (see the kernel comments in the consumer
-modules).
+path (the equivalence suites compare them with ``==``/``array_equal``).
+The build therefore records not just *what* the object analyses compute
+but the *order* the scalar loops combine floats in: flow edges keep
+operand-then-reaching-store order per instruction, call edges keep
+instruction order, and the consumers replicate the exact sequence of
+IEEE-754 operations (see the kernel comments in the consumer modules).
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..caching import LRUCache
-from .fingerprint import function_fingerprint
 from .instructions import (
     Alloca,
     Branch,
@@ -199,13 +195,11 @@ class FlatFunction:
     """Struct-of-arrays view of one function, built for one target.
 
     Holds no reference to the object IR: every analysis the consumers
-    need ran eagerly at build time, so a cached entry does not retain the
-    (cloned) module it was built from.
+    need ran eagerly at build time.
     """
 
     __slots__ = (
-        "name", "fingerprint", "target_name",
-        "n_inst", "n_blocks",
+        "name", "n_inst", "n_blocks",
         "block_names", "block_offsets",
         "opcodes", "type_kinds", "is_phi", "is_void",
         "kind_counts",
@@ -216,23 +210,11 @@ class FlatFunction:
         "overheads", "freqs",
         "flow_dst", "flow_src", "round_offsets",
         "live_across", "max_pressure", "has_alloca",
-        "call_edges", "nbytes",
+        "call_edges",
     )
 
 
-def _finalize_nbytes(ff: FlatFunction) -> int:
-    total = 0
-    for slot in FlatFunction.__slots__:
-        value = getattr(ff, slot, None)
-        if isinstance(value, np.ndarray):
-            total += value.nbytes
-    total += 64 * ff.n_blocks + 48 * len(ff.call_edges) + 256
-    return total
-
-
-def build_flat_function(
-    fn: Function, fingerprint: str, descriptor, model
-) -> FlatFunction:
+def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
     """Flatten one function definition for ``descriptor``/``model``.
 
     One pass over the instruction stream interns codes, counts operand
@@ -490,8 +472,6 @@ def build_flat_function(
 
     ff = FlatFunction()
     ff.name = fn.name
-    ff.fingerprint = fingerprint
-    ff.target_name = descriptor.name
     ff.n_inst = n_inst
     ff.n_blocks = n_blocks
     ff.block_names = [b.name for b in blocks]
@@ -520,139 +500,4 @@ def build_flat_function(
     ff.max_pressure = max_pressure
     ff.has_alloca = has_alloca
     ff.call_edges = call_edges
-    ff.nbytes = _finalize_nbytes(ff)
     return ff
-
-
-# -- observability ------------------------------------------------------------
-
-#: Live cores, so the bytes-resident gauge reflects the process total no
-#: matter which core's collect hook runs last.
-_LIVE_CORES: "weakref.WeakSet[FlatCore]" = weakref.WeakSet()
-
-
-class _FlatMetrics:
-    """Registry mirror for one core (``repro_ir_flat_*``).
-
-    Same lazy collect-hook pattern as :class:`repro.caching._CacheMetrics`:
-    the hot path bumps plain ints; deltas fold into the shared registry
-    counters only when something reads the registry.
-    """
-
-    __slots__ = ("builds", "row_rebuilds", "invalidations", "bytes_gauge",
-                 "_seen", "_sync_lock")
-
-    def __init__(self, registry):
-        self.builds = registry.counter(
-            "repro_ir_flat_builds_total",
-            "FlatFunction builds (fingerprint misses)",
-        )
-        self.row_rebuilds = registry.counter(
-            "repro_ir_flat_row_rebuilds_total",
-            "Instruction rows flattened by builds",
-        )
-        self.invalidations = registry.counter(
-            "repro_ir_flat_invalidations_total",
-            "Builds that replaced a changed function's flat rows",
-        )
-        self.bytes_gauge = registry.gauge(
-            "repro_ir_flat_bytes_resident",
-            "Bytes held by cached FlatFunction arrays (all cores)",
-        )
-        self._seen = [0, 0, 0]
-        self._sync_lock = threading.Lock()
-
-    def sync(self, core: "FlatCore") -> None:
-        with self._sync_lock:
-            for i, (counter, value) in enumerate((
-                (self.builds, core.builds),
-                (self.row_rebuilds, core.row_rebuilds),
-                (self.invalidations, core.invalidations),
-            )):
-                delta = value - self._seen[i]
-                if delta > 0:
-                    counter.inc(delta)
-                self._seen[i] = value
-        self.bytes_gauge.set(
-            float(sum(c.bytes_resident() for c in _LIVE_CORES))
-        )
-
-
-class FlatCore:
-    """Per-target cache of flat functions, invalidated by fingerprint.
-
-    The metrics engine keeps one of these alive across env steps:
-    :meth:`fingerprint` packs and digests a function (the cheap Phase A
-    walk that runs every step), and :meth:`get` returns the cached
-    :class:`FlatFunction` for that digest, flattening only on a miss
-    (Phase B — the function actually changed, O(changed-rows) work).
-    """
-
-    def __init__(
-        self,
-        target: str = "x86-64",
-        capacity: int = 4096,
-        lock: Optional[threading.Lock] = None,
-        name: Optional[str] = "flat",
-    ):
-        from ..codegen.target import get_target
-        from ..mca.ports import get_port_model
-
-        self.descriptor = get_target(target) if isinstance(target, str) else target
-        self.model = get_port_model(self.descriptor.name)
-        self.cache = LRUCache(capacity, name=name, lock=lock)
-        self.builds = 0
-        self.row_rebuilds = 0
-        self.invalidations = 0
-        self._last_digest: Dict[str, str] = {}
-        _LIVE_CORES.add(self)
-        if name is not None:
-            from ..observability import get_registry
-
-            registry = get_registry()
-            if registry.enabled:
-                metrics = _FlatMetrics(registry)
-                ref = weakref.ref(self)
-
-                def _sync_hook(ref=ref, metrics=metrics):
-                    core = ref()
-                    if core is not None:
-                        metrics.sync(core)
-
-                registry.register_collect_hook(_sync_hook)
-
-    def fingerprint(self, fn: Function) -> str:
-        """Pack + digest one function (identical to
-        :func:`repro.ir.fingerprint.function_fingerprint`)."""
-        return function_fingerprint(fn)
-
-    def get(self, fn: Function, fingerprint: str) -> FlatFunction:
-        """The flat view for ``fn`` at ``fingerprint``; builds on miss."""
-        ff = self.cache.get(fingerprint)
-        if ff is None:
-            ff = build_flat_function(
-                fn, fingerprint, self.descriptor, self.model
-            )
-            self.builds += 1
-            self.row_rebuilds += ff.n_inst
-            prev = self._last_digest.get(fn.name)
-            if prev is not None and prev != fingerprint:
-                self.invalidations += 1
-            self.cache.put(fingerprint, ff)
-        self._last_digest[fn.name] = fingerprint
-        return ff
-
-    def bytes_resident(self) -> int:
-        """Total nbytes of the cached flat arrays."""
-        return sum(ff.nbytes for ff in self.cache._data.values())
-
-    def stats_dict(self) -> Dict[str, float]:
-        """Cache counters plus flat-core build/invalidation totals."""
-        out = self.cache.stats.as_dict()
-        out.update(
-            builds=float(self.builds),
-            row_rebuilds=float(self.row_rebuilds),
-            invalidations=float(self.invalidations),
-            bytes_resident=float(self.bytes_resident()),
-        )
-        return out

@@ -15,14 +15,12 @@ estimates with static block frequencies (loop depth and branch hints).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..analysis.blockfreq import BlockFrequency
 from ..analysis.loops import LoopInfo
-from ..caching import LRUCache
-from ..ir.fingerprint import function_fingerprint
 from ..ir.flat import FlatFunction, throughput_row
 from ..ir.instructions import Call, Instruction, Phi
 from ..ir.module import BasicBlock, Function, Module
@@ -270,76 +268,43 @@ def _function_call_counts(fn: Function) -> Dict[str, float]:
     return counts
 
 
-def estimate_throughput(
-    module: Module,
-    target="x86-64",
-    cache: Optional[LRUCache] = None,
-    fingerprints: Optional[Mapping[str, str]] = None,
-    flat=None,
-) -> McaSummary:
-    """LLVM-MCA stand-in: static cycles/throughput for the whole module.
-
-    With ``cache``, the per-function scheduling report and outgoing-call
-    counts are memoized on the function's structural fingerprint; only the
-    (cheap) interprocedural invocation fixed point is recombined per call.
-
-    ``fingerprints`` (name → digest) supplies fingerprints already computed
-    this step so each function is hashed at most once. ``flat`` (a
-    :class:`~repro.ir.flat.FlatCore` for the same target) schedules
-    functions through the batched wavefront kernel instead of the
-    per-instruction loop.
-    """
+def estimate_throughput(module: Module, target="x86-64") -> McaSummary:
+    """LLVM-MCA stand-in: static cycles/throughput for the whole module."""
     if isinstance(target, str):
         descriptor = get_target(target)
         model = get_port_model(target)
     else:  # pragma: no cover - convenience
         descriptor = target
         model = get_port_model(target.name)
-    if flat is not None and flat.descriptor.name != descriptor.name:
-        flat = None
+    return _summary_from_functions(module, descriptor.name, {
+        fn.name: (
+            analyze_function(fn, descriptor, model),
+            _function_call_counts(fn),
+        )
+        for fn in module.functions
+        if not fn.is_declaration
+    })
 
-    reports: Dict[str, FunctionReport] = {}
-    call_counts: Dict[str, Dict[str, float]] = {}
-    for fn in module.functions:
-        if fn.is_declaration:
-            continue
-        if cache is not None or flat is not None:
-            fp = fingerprints.get(fn.name) if fingerprints is not None else None
-            if fp is None:
-                fp = function_fingerprint(fn)
-        if cache is not None:
-            key = (fp, descriptor.name)
-            entry = cache.get(key)
-            if entry is None:
-                if flat is not None:
-                    ff = flat.get(fn, fp)
-                    entry = (flat_analyze_function(ff, model), flat_call_counts(ff))
-                else:
-                    entry = (
-                        analyze_function(fn, descriptor, model),
-                        _function_call_counts(fn),
-                    )
-                cache.put(key, entry)
-            reports[fn.name], call_counts[fn.name] = entry
-        elif flat is not None:
-            ff = flat.get(fn, fp)
-            reports[fn.name] = flat_analyze_function(ff, model)
-            call_counts[fn.name] = flat_call_counts(ff)
-        else:
-            reports[fn.name] = analyze_function(fn, descriptor, model)
-            call_counts[fn.name] = _function_call_counts(fn)
 
+def _summary_from_functions(
+    module: Module,
+    target_name: str,
+    per_fn: Dict[str, Tuple[FunctionReport, Dict[str, float]]],
+) -> McaSummary:
+    """Combine per-function ``(report, outgoing call counts)`` entries
+    (keyed by name, in module order) into the module summary: the
+    invocation fixed point plus the external-call charge."""
     # Invocation frequencies: externally visible functions are entry points
     # invoked once; internal functions accumulate caller frequency.
     # Iterate a few rounds to settle call chains (cap guards recursion).
     base_invocations: Dict[str, float] = {
         name: (0.0 if module.get_function(name).is_internal else 1.0)  # type: ignore[union-attr]
-        for name in reports
+        for name in per_fn
     }
     invocations = dict(base_invocations)
     for _ in range(8):
         fresh = dict(base_invocations)
-        for caller, counts in call_counts.items():
+        for caller, (_, counts) in per_fn.items():
             caller_freq = invocations.get(caller, 0.0)
             for callee, count in counts.items():
                 if callee in fresh:
@@ -355,7 +320,7 @@ def estimate_throughput(
 
     total_cycles = 0.0
     total_uops = 0.0
-    for name, report in reports.items():
+    for name, (report, _) in per_fn.items():
         weight = max(invocations.get(name, 0.0), 0.0)
         if weight == 0.0:
             continue
@@ -369,8 +334,8 @@ def estimate_throughput(
 
     total_cycles = max(total_cycles, 1.0)
     return McaSummary(
-        target=descriptor.name,
+        target=target_name,
         total_cycles=total_cycles,
         total_uops=total_uops,
-        functions=list(reports.values()),
+        functions=[report for report, _ in per_fn.values()],
     )

@@ -63,7 +63,6 @@ class ActorSpec:
     target: str = "x86-64"
     weights: Any = None  # RewardWeights (picklable dataclass)
     episode_length: int = 15
-    cache: bool = True
     algo: str = "ddqn"  # acting mode: ddqn/dqn/prioritized-ddqn vs ppo
     num_actions: int = 34
     epsilon_start: float = 1.0
@@ -195,7 +194,7 @@ def _actor_worker(conn, spec: ActorSpec) -> None:
     from .ppo import PolicyValueNetwork, log_softmax
 
     action_space = make_action_space(spec.action_space_kind)
-    engine = MetricsEngine(target=spec.target, enabled=spec.cache)
+    engine = MetricsEngine(spec.target)
     modules = [(name, parse_module(text)) for name, text in spec.corpus]
     envs: Dict[str, PhaseOrderingEnv] = {}
     offset = ACTOR_SEED_STRIDE * spec.actor_id

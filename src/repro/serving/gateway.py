@@ -20,7 +20,7 @@ phase-ordering evaluation: N worker *processes*, each running a full
   int(module_fingerprint, 16) % n_shards``. The structural fingerprint
   is deterministic across processes (no salted ``hash()``), so the same
   module always lands on the same shard and that shard's
-  ``ResultCache``, environment pool and ``FlatCore`` LRU stay hot for
+  ``ResultCache``, environment pool and function-record cache stay hot for
   its slice of the keyspace: sharding does not cold-split the caches.
   An exact-text routing memo in front of the fingerprint means repeat
   requests (the common serving case) are routed without re-parsing.

@@ -274,7 +274,6 @@ class OptimizationService:
         include_ir: bool = True,
         verify: bool = True,
         semantic_check: bool = False,
-        metrics_cache: bool = True,
         experience_tap=None,
     ):
         if max_batch <= 0:
@@ -288,7 +287,6 @@ class OptimizationService:
         self.include_ir = include_ir
         self.verify = verify
         self.semantic_check = semantic_check
-        self.metrics_cache = metrics_cache
         #: Optional :class:`~repro.learning.tap.ExperienceTap` — completed
         #: (verified) rollouts are logged as RL trajectories for the
         #: online trainer. Fallbacks and cache hits are never logged.
@@ -681,10 +679,7 @@ class OptimizationService:
             # ``threadsafe``: the scheduler owns the rollouts, but client
             # threads reach the same caches through ``stats()`` and the
             # counters race without the lock.
-            engine = MetricsEngine(
-                target=self.target, enabled=self.metrics_cache,
-                threadsafe=True,
-            )
+            engine = MetricsEngine(self.target, threadsafe=True)
             self._engines[kind] = engine
         return engine
 
@@ -821,22 +816,18 @@ class OptimizationService:
         verify_start = time.perf_counter()
         try:
             result_fp = env.fingerprint
-            needs_verify = self.verify and (
-                result_fp is None or result_fp not in self._verified
-            )
+            needs_verify = self.verify and result_fp not in self._verified
             needs_sem_check = self.semantic_check and (
-                result_fp is None
-                or (session.fingerprint, result_fp) not in self._sem_verified
+                (session.fingerprint, result_fp) not in self._sem_verified
             )
             optimized: Optional[Module] = None
             if needs_verify or needs_sem_check or self.include_ir:
                 optimized = env.current
             if needs_verify:
                 verify_module(optimized)
-                if result_fp is not None:
-                    if len(self._verified) >= _VERIFIED_MEMO_LIMIT:
-                        self._verified.clear()
-                    self._verified.add(result_fp)
+                if len(self._verified) >= _VERIFIED_MEMO_LIMIT:
+                    self._verified.clear()
+                self._verified.add(result_fp)
             if needs_sem_check:
                 from ..testing.oracle import modules_equivalent
 
@@ -847,10 +838,9 @@ class OptimizationService:
                     self._note_verify_time(session, verify_start)
                     self._finalize_fallback(session, f"miscompile: {mismatch}")
                     return
-                if result_fp is not None:
-                    if len(self._sem_verified) >= _VERIFIED_MEMO_LIMIT:
-                        self._sem_verified.clear()
-                    self._sem_verified.add((session.fingerprint, result_fp))
+                if len(self._sem_verified) >= _VERIFIED_MEMO_LIMIT:
+                    self._sem_verified.clear()
+                self._sem_verified.add((session.fingerprint, result_fp))
         except VerificationError as exc:
             self._note_verify_time(session, verify_start)
             self._finalize_fallback(session, f"verify_error: {exc}")

@@ -2,8 +2,9 @@
 
 Breaks an episode down into the stages the environment runs — pass
 pipeline (``apply``), codegen size, MCA scheduling, IR2Vec embedding,
-fingerprinting — and prints a table of per-stage totals, plus cache
-counters when the incremental metrics engine is on.
+fingerprinting — and prints a table of per-stage totals plus the metrics
+engine's cache counters. A function-record miss builds the record (size,
+MCA and embedding together) inside the ``codegen`` stage.
 
 ``--train N`` switches to the training-throughput harness: it runs one
 training loop — ``--train-mode`` picks serial, vectorized (default) or
@@ -21,11 +22,11 @@ Examples::
 
     python -m repro.tools.profile input.ll
     python -m repro.tools.profile --suite mibench --benchmark susan
-    python -m repro.tools.profile --no-cache --steps 30 input.ll
+    python -m repro.tools.profile --steps 30 input.ll
     python -m repro.tools.profile --episodes 5 input.ll   # repeat to see hits
     python -m repro.tools.profile --suite mibench --train 480 --n-envs 8
     python -m repro.tools.profile --suite mibench --train 480 --n-envs 8 \\
-        --workers 8 --no-cache --compare-serial
+        --workers 8 --compare-serial
     python -m repro.tools.profile --suite mibench --train 120 \\
         --train-mode distributed --actors 2 --algo prioritized-ddqn \\
         --fail-on-no-broadcast
@@ -91,6 +92,19 @@ def _profile_episode(env, actions) -> None:
         env.step(action)
 
 
+def _print_cache_counters(stats) -> None:
+    print("\ncache counters:")
+    for name in ("functions", "transitions"):
+        counters = stats[name]
+        print(f"  {name:<12} hits={counters['hits']:<8.0f} "
+              f"misses={counters['misses']:<8.0f} "
+              f"evictions={counters['evictions']:<6.0f} "
+              f"hit_rate={counters['hit_rate']:.2%}")
+    flat = stats["flat"]
+    print(f"  {'flat views':<12} builds={flat['builds']:<6.0f} "
+          f"row_rebuilds={flat['row_rebuilds']:.0f}")
+
+
 def _print_throughput(label: str, report) -> None:
     print(f"{label:<12} steps={report.total_steps:<7} "
           f"episodes={report.episodes:<5} wall={report.wall_seconds:>8.3f}s  "
@@ -123,14 +137,12 @@ def _run_train_harness(args, corpus) -> int:
             episode_length=max(args.steps, 1),
             algo=args.algo,
             seed=args.seed,
-            cache=not args.no_cache,
         )
 
-    mode = "uncached" if args.no_cache else "cached"
     print(f"training-throughput harness: {args.train} steps, "
           f"mode={args.train_mode}, algo={args.algo}, "
           f"n_envs={args.n_envs}, workers={args.workers}, "
-          f"actors={args.actors}, corpus={len(corpus)} module(s), {mode}")
+          f"actors={args.actors}, corpus={len(corpus)} module(s)")
     agent = make_agent()
     if args.train_mode == "distributed":
         agent.train_distributed(
@@ -166,12 +178,7 @@ def _run_train_harness(args, corpus) -> int:
         if serial.steps_per_second:
             print(f"speedup: {vec.steps_per_second / serial.steps_per_second:.2f}x "
                   f"({args.train_mode} vs serial steps/sec)")
-    if not args.no_cache:
-        print("\ncache counters:")
-        for name, counters in agent.cache_stats().items():
-            print(f"  {name:<12} hits={counters['hits']:<8.0f} "
-                  f"misses={counters['misses']:<8.0f} "
-                  f"hit_rate={counters['hit_rate']:.2%}")
+    _print_cache_counters(agent.cache_stats())
     return 0
 
 
@@ -194,15 +201,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--episodes", type=int, default=1,
                         help="episodes to run (repeats expose cache hits)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-cache", action="store_true",
-                        help="profile the uncached metrics paths")
-    parser.add_argument("--flat", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="measure through the flat struct-of-arrays "
-                        "kernels (--no-flat restores the object walks)")
-    parser.add_argument("--compare-flat", action="store_true",
-                        help="profile the episode twice — flat kernels vs "
-                        "object walks — and print the speedup")
     parser.add_argument("--suite", help="profile a workload-suite benchmark "
                         "instead of an input file")
     parser.add_argument("--benchmark",
@@ -287,30 +285,23 @@ def run(argv: Optional[List[str]] = None) -> int:
     rng = np.random.RandomState(args.seed)
     actions = [int(rng.randint(len(action_space))) for _ in range(args.steps)]
 
-    def profile_once(flat: bool):
-        engine = MetricsEngine(
-            target=args.target, enabled=not args.no_cache, flat=flat
-        )
-        env = PhaseOrderingEnv(
-            module,
-            action_space=make_action_space(args.action_space),
-            target=args.target,
-            episode_length=max(args.steps, 1),
-            metrics=engine,
-        )
-        clock = _StageClock()
-        _instrument(env, engine, clock)
-        start = time.perf_counter()
-        for _ in range(args.episodes):
-            _profile_episode(env, actions)
-        return engine, clock, time.perf_counter() - start
+    engine = MetricsEngine(args.target)
+    env = PhaseOrderingEnv(
+        module,
+        action_space=action_space,
+        target=args.target,
+        episode_length=max(args.steps, 1),
+        metrics=engine,
+    )
+    clock = _StageClock()
+    _instrument(env, engine, clock)
+    start = time.perf_counter()
+    for _ in range(args.episodes):
+        _profile_episode(env, actions)
+    wall = time.perf_counter() - start
 
-    engine, clock, wall = profile_once(args.flat)
-
-    mode = "uncached" if args.no_cache else "cached"
-    kernels = "flat" if args.flat and not args.no_cache else "object"
     print(f"profile: {args.episodes} episode(s) x {args.steps} steps "
-          f"({mode}, {kernels} kernels, target {args.target})")
+          f"(target {args.target})")
     print(f"{'stage':<12} {'total s':>10} {'calls':>7} {'ms/call':>9} {'share':>7}")
     for stage in ("passes", "codegen", "mca", "embedding", "fingerprint"):
         total = clock.totals.get(stage, 0.0)
@@ -319,40 +310,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         share = 100.0 * total / wall if wall else 0.0
         print(f"{stage:<12} {total:>10.4f} {calls:>7} {per:>9.3f} {share:>6.1f}%")
     print(f"{'wall':<12} {wall:>10.4f}")
-
-    if args.compare_flat:
-        _, other_clock, other_wall = profile_once(not args.flat)
-        this, other = ("flat", "object") if args.flat else ("object", "flat")
-
-        def measure_s(c: _StageClock) -> float:
-            return sum(
-                c.totals.get(s, 0.0)
-                for s in ("codegen", "mca", "embedding", "fingerprint")
-            )
-
-        a, b = measure_s(clock), measure_s(other_clock)
-        print(f"\ncompare: measure+encode {this} {a:.4f}s vs "
-              f"{other} {b:.4f}s", end="")
-        if a and b:
-            ratio = (b / a) if args.flat else (a / b)
-            print(f"  (flat speedup {ratio:.2f}x)")
-        else:
-            print()
-        print(f"compare: wall {this} {wall:.4f}s vs {other} {other_wall:.4f}s")
-
-    if engine.enabled:
-        print("\ncache counters:")
-        for name, counters in engine.stats().items():
-            print(f"  {name:<12} hits={counters['hits']:<8.0f} "
-                  f"misses={counters['misses']:<8.0f} "
-                  f"evictions={counters['evictions']:<6.0f} "
-                  f"hit_rate={counters['hit_rate']:.2%}")
-        if engine._flat_core is not None:
-            flat_stats = engine.stats()["flat"]
-            print(f"  flat core    builds={flat_stats['builds']:<6.0f} "
-                  f"row_rebuilds={flat_stats['row_rebuilds']:<8.0f} "
-                  f"invalidations={flat_stats['invalidations']:<6.0f} "
-                  f"bytes={flat_stats['bytes_resident']:,.0f}")
+    _print_cache_counters(engine.stats())
     _maybe_export_metrics(args)
     return 0
 

@@ -1,8 +1,8 @@
 """LRU cache thread-safety under the serving scheduler.
 
 Regression for an audit finding: ``OptimizationService`` shares one
-``MetricsEngine`` (hence one set of LRU caches) between client threads
-(admission fingerprinting) and the scheduler thread, but ``LRUCache``
+``MetricsEngine`` (hence its function-record and transition LRUs) between
+client threads (``stats()``) and the scheduler thread, but ``LRUCache``
 mutates an ``OrderedDict`` plus plain-int counters with no
 synchronization — ``move_to_end``/``popitem`` racing ``put`` can corrupt
 the linked list or lose counter updates. The fix is an optional
@@ -73,24 +73,21 @@ class TestLockedCache:
 class TestThreadsafeEngine:
     def test_threadsafe_engine_shares_one_lock_across_caches(self):
         engine = MetricsEngine(threadsafe=True)
-        caches = [
-            engine.size_cache, engine.mca_cache, engine._embedding_cache,
-            engine.transitions._cache,
-        ]
+        caches = [engine.functions, engine.transitions._cache]
         locks = {id(c._lock) for c in caches}
         assert None not in {c._lock for c in caches}
         assert len(locks) == 1
 
     def test_default_engine_is_lockless(self):
         engine = MetricsEngine()
-        assert engine.size_cache._lock is None
+        assert engine.functions._lock is None
 
     def test_threadsafe_survives_pickling(self):
         import pickle
 
         engine = MetricsEngine(threadsafe=True)
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone.size_cache._lock is not None
+        assert clone.functions._lock is not None
 
     def test_concurrent_measure_is_consistent(self):
         engine = MetricsEngine(threadsafe=True)
@@ -132,4 +129,55 @@ class TestThreadsafeEngine:
             PosetRL(seed=0), batch_window_s=0.001
         )
         engine = service._engine_for(service.registry.active.action_space_kind)
-        assert engine.size_cache._lock is not None
+        assert engine.functions._lock is not None
+
+    def test_stats_from_client_threads_while_serving(self):
+        """Two client threads poll ``stats()`` in a loop while the
+        scheduler serves requests and fills the engine caches."""
+        from repro import PosetRL
+        from repro.ir.printer import print_module
+        from repro.serving import OptimizationService
+
+        texts = [
+            print_module(generate_program(
+                ProgramProfile(name=f"st{i}", seed=70 + i, segments=2)
+            ))
+            for i in range(4)
+        ]
+        service = OptimizationService.from_agent(
+            PosetRL(seed=0), batch_window_s=0.001, result_cache_size=None
+        )
+        done = threading.Event()
+        errors = []
+        polls = [0, 0]
+
+        def poll(k):
+            try:
+                while not done.is_set():
+                    stats = service.stats()
+                    for engine_stats in stats["metrics"].values():
+                        assert engine_stats["functions"]["size"] <= (
+                            engine_stats["functions"]["capacity"]
+                        )
+                    polls[k] += 1
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        with service:
+            pollers = [
+                threading.Thread(target=poll, args=(k,)) for k in range(2)
+            ]
+            for t in pollers:
+                t.start()
+            try:
+                for _ in range(2):
+                    for text in texts:
+                        assert service.optimize(text).status == "ok"
+            finally:
+                done.set()
+                for t in pollers:
+                    t.join(timeout=30)
+        assert not any(t.is_alive() for t in pollers)
+        assert errors == []
+        assert min(polls) > 0
+        assert service.stats()["metrics"]

@@ -25,16 +25,16 @@ def corpus():
     ]
 
 
-def _make_vector(corpus, n_envs, seed=0, workers=0, cache=True):
+def _make_vector(corpus, n_envs, seed=0, workers=0):
     if workers:
         return VectorPhaseOrderingEnv(
             corpus,
             n_envs,
             rng=np.random.RandomState(seed),
             workers=workers,
-            spec=EnvSpec(episode_length=EPISODE_LENGTH, cache=cache),
+            spec=EnvSpec(episode_length=EPISODE_LENGTH),
         )
-    engine = MetricsEngine(enabled=cache)
+    engine = MetricsEngine()
     space = make_action_space("odg")
 
     def factory(module):
@@ -86,7 +86,7 @@ class TestLockstep:
         """Each slot's trajectory equals a standalone env rollout on the
         module the shared RNG sampled for it."""
         n = 2
-        venv = _make_vector(corpus, n, seed=5, cache=False)
+        venv = _make_vector(corpus, n, seed=5)
         sample_rng = np.random.RandomState(5)
         venv.reset()
         expected_names = [
@@ -107,7 +107,6 @@ class TestLockstep:
                 by_name[rec.module],
                 make_action_space("odg"),
                 episode_length=EPISODE_LENGTH,
-                cache=False,
             )
             slot_actions = [acts[slot] for acts in actions_per_step]
             infos = env.rollout(slot_actions)
@@ -117,7 +116,6 @@ class TestLockstep:
                 by_name[rec.module],
                 make_action_space("odg"),
                 episode_length=EPISODE_LENGTH,
-                cache=False,
             )
             env2.reset()
             expected_total = 0.0

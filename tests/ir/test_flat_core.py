@@ -1,10 +1,11 @@
-"""Flat struct-of-arrays IR core: bit-identical equivalence, invalidation.
+"""Flat struct-of-arrays IR core: bit-identical equivalence, layout.
 
 The contract under test is exact: every consumer kernel over the flat
-view (size, MCA cycles, embeddings) must produce *bit-identical* results
-to the object-walking implementations, on arbitrary fuzz-generated
-modules, before and after pass pipelines mutate them. Invalidation is
-per function — mutating one function rebuilds only its rows.
+view (size, MCA cycles, embeddings), as the metrics engine runs them on a
+function-record miss, must produce *bit-identical* results to the
+object-walking implementations, on arbitrary fuzz-generated modules,
+before and after pass pipelines mutate them. Invalidation is per
+function — mutating one function rebuilds only its record.
 """
 
 import gc
@@ -14,205 +15,221 @@ import numpy as np
 import pytest
 
 from repro import observability as obs
-from repro.codegen.objfile import object_size
+from repro.codegen.objfile import (
+    flat_function_text_size,
+    function_text_size,
+    object_size,
+)
+from repro.codegen.target import get_target
+from repro.core.metrics import FunctionRecord, MetricsEngine
 from repro.embeddings.ir2vec import IR2VecEncoder
-from repro.ir.fingerprint import function_fingerprint, module_fingerprint
-from repro.ir.flat import FlatCore, build_flat_function
+from repro.ir.fingerprint import module_fingerprint
+from repro.ir.flat import FlatFunction, build_flat_function
+from repro.mca.ports import get_port_model
 from repro.mca.sched import estimate_throughput
 from repro.passes import build_pipeline
 from repro.testing.generator import FuzzProfile, generate_fuzz_program
 from repro.workloads import ProgramProfile, generate_program
+from tests.metrics_reference import reference_measure
 
 FUZZ_SEEDS = range(8)
 TARGETS = ("x86-64", "aarch64")
 
 
-def _fingerprints(module):
-    return {fn.name: function_fingerprint(fn) for fn in module.functions}
+def _build(fn, target="x86-64"):
+    return build_flat_function(fn, get_target(target), get_port_model(target))
 
 
-def _assert_equivalent(module, target, core, encoder):
-    fps = _fingerprints(module)
-    assert object_size(module, target) == object_size(
-        module, target, fingerprints=fps, flat=core
+def _assert_equivalent(module, target, engine):
+    fps = engine.function_fingerprints(module)
+    got = engine.measure(module, fps)
+    size, mca, embedding = reference_measure(module, target)
+    assert got.size_report == size
+    assert got.mca == mca
+    assert np.array_equal(got.embedding, embedding)
+    # The standalone object walks are the same combine over the same
+    # per-function results.
+    assert object_size(module, target) == size
+    assert estimate_throughput(module, target) == mca
+    assert np.array_equal(
+        IR2VecEncoder().program_embedding(module), embedding
     )
-    assert estimate_throughput(module, target) == estimate_throughput(
-        module, target, fingerprints=fps, flat=core
-    )
-    ref = encoder.program_embedding(module)
-    got = encoder.program_embedding(module, fingerprints=fps, flat=core)
-    assert np.array_equal(ref, got)
     assert module_fingerprint(module) == module_fingerprint(module, fps)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("target", TARGETS)
     def test_fuzz_modules_bit_identical(self, target):
-        core = FlatCore(target)
-        encoder = IR2VecEncoder()
+        engine = MetricsEngine(target)
         for seed in FUZZ_SEEDS:
             module = generate_fuzz_program(FuzzProfile(seed=seed))
-            _assert_equivalent(module, target, core, encoder)
+            _assert_equivalent(module, target, engine)
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_after_pass_pipelines(self, target):
-        """The same warm core stays exact as passes mutate the modules."""
-        core = FlatCore(target)
-        encoder = IR2VecEncoder()
+        """The same warm engine stays exact as passes mutate the modules."""
+        engine = MetricsEngine(target)
         for seed in (0, 3, 5):
             module = generate_fuzz_program(FuzzProfile(seed=seed))
             for pipeline in ("O1", "Oz"):
                 clone = module.clone()
                 build_pipeline(pipeline).run(clone)
-                _assert_equivalent(clone, target, core, encoder)
+                _assert_equivalent(clone, target, engine)
 
     def test_generated_program(self):
-        core = FlatCore("x86-64")
-        encoder = IR2VecEncoder()
         module = generate_program(
             ProgramProfile(name="flat-eq", seed=21, segments=12, helpers=4)
         )
-        _assert_equivalent(module, "x86-64", core, encoder)
+        _assert_equivalent(module, "x86-64", MetricsEngine())
 
     def test_function_embedding_matches_object_path(self):
-        core = FlatCore("x86-64")
+        """Per-function kernels over the flat view (embedding and text
+        size) equal the object walks."""
         encoder = IR2VecEncoder()
+        descriptor = get_target("x86-64")
         module = generate_fuzz_program(FuzzProfile(seed=2))
         for fn in module.functions:
             if fn.is_declaration:
                 continue
-            ref = encoder._compute_function_embedding(fn)
-            ff = core.get(fn, function_fingerprint(fn))
-            assert np.array_equal(ref, encoder.flat_function_embedding(ff))
+            ff = _build(fn)
+            assert np.array_equal(
+                encoder._compute_function_embedding(fn),
+                encoder.flat_function_embedding(ff),
+            )
+            assert function_text_size(fn, descriptor) == (
+                flat_function_text_size(ff, descriptor)
+            )
 
 
 class TestFlatFunction:
     def test_layout_invariants(self):
-        core = FlatCore("x86-64")
         module = generate_fuzz_program(FuzzProfile(seed=1))
         for fn in module.functions:
             if fn.is_declaration:
                 continue
-            ff = core.get(fn, function_fingerprint(fn))
+            ff = _build(fn)
             assert ff.n_inst == sum(len(b.instructions) for b in fn.blocks)
             assert ff.block_offsets[0] == 0
             assert ff.block_offsets[-1] == ff.n_inst
             assert (np.diff(ff.block_offsets) >= 0).all()
             assert ff.kind_counts.shape == (ff.n_inst, 6)
             assert int(ff.fn_mop_counts.sum()) == int(ff.block_uops.sum())
-            assert ff.nbytes > 0
+
+    def test_view_holds_no_object_ir(self):
+        """Every slot is an array, a scalar or plain strings/tuples."""
+        module = generate_fuzz_program(FuzzProfile(seed=4))
+        fn = next(f for f in module.functions if not f.is_declaration)
+        ff = _build(fn)
+        allowed = (np.ndarray, int, float, bool, str, np.integer)
+        for slot in type(ff).__slots__:
+            value = getattr(ff, slot)
+            if isinstance(value, list):
+                for item in value:
+                    items = item if isinstance(item, tuple) else (item,)
+                    assert all(isinstance(x, allowed) for x in items), slot
+            else:
+                assert isinstance(value, allowed), slot
 
     def test_no_object_ir_retained(self):
-        """A cached FlatFunction must not keep the (cloned) module alive."""
-        core = FlatCore("x86-64")
+        """Cached records must not keep the (cloned) module alive, and no
+        flat view outlives the measure that built it."""
+        engine = MetricsEngine()
         module = generate_fuzz_program(FuzzProfile(seed=4))
-        refs = []
-        for fn in module.functions:
-            if fn.is_declaration:
-                continue
-            core.get(fn, function_fingerprint(fn))
-            refs.append(weakref.ref(fn))
-        assert refs
-        del module, fn
+        engine.measure(module)
+        refs = [
+            weakref.ref(fn) for fn in module.functions if not fn.is_declaration
+        ]
+        assert refs and len(engine.functions) == len(refs)
+        del module
         gc.collect()
         assert all(r() is None for r in refs)
+        assert not any(isinstance(o, FlatFunction) for o in gc.get_objects())
 
     def test_digest_keying_and_reuse(self):
-        core = FlatCore("x86-64")
+        """Records are keyed by function fingerprint: a clone's identical
+        function reuses the very same record without a rebuild."""
+        engine = MetricsEngine()
         module = generate_fuzz_program(FuzzProfile(seed=0))
         fn = next(f for f in module.functions if not f.is_declaration)
-        fp = function_fingerprint(fn)
-        first = core.get(fn, fp)
-        assert core.get(fn, fp) is first
+        fp = engine.function_fingerprints(module)[fn.name]
+        engine.measure(module)
+        first = engine.functions.peek(fp)
+        assert isinstance(first, FunctionRecord)
+        builds = engine.flat_builds
+        engine.measure(module)
+        assert engine.functions.peek(fp) is first
         clone = module.clone()
-        fn2 = clone.get_function(fn.name)
-        assert core.get(fn2, function_fingerprint(fn2)) is first
+        assert engine.function_fingerprints(clone)[fn.name] == fp
+        engine.measure(clone)
+        assert engine.functions.peek(fp) is first
+        assert engine.flat_builds == builds
 
 
 class TestInvalidation:
-    def _measure(self, module, core, encoder):
-        fps = _fingerprints(module)
-        return (
-            object_size(module, "x86-64", fingerprints=fps, flat=core),
-            estimate_throughput(module, "x86-64", fingerprints=fps, flat=core),
-            encoder.program_embedding(module, fingerprints=fps, flat=core),
-        )
-
     def test_mutating_one_function_rebuilds_only_its_rows(self):
-        core = FlatCore("x86-64")
-        encoder = IR2VecEncoder()
+        engine = MetricsEngine()
         module = generate_fuzz_program(FuzzProfile(seed=6))
         defined = [f for f in module.functions if not f.is_declaration]
-        self._measure(module, core, encoder)
-        assert core.builds == len(defined)
+        assert len(defined) > 1
+        engine.measure(module)
+        assert engine.flat_builds == len(defined)
 
         target_fn = defined[-1]
-        first_inst = target_fn.blocks[0].instructions[0]
-        first_inst.meta["flat-test"] = "mutated"
-        size, mca, emb = self._measure(module, core, encoder)
+        target_fn.blocks[0].instructions[0].meta["flat-test"] = "mutated"
+        before = engine.stats()["functions"]
+        got = engine.measure(module)
+        after = engine.stats()["functions"]
 
-        assert core.builds == len(defined) + 1
-        assert core.invalidations == 1
+        assert engine.flat_builds == len(defined) + 1
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == len(defined) - 1
         rebuilt = sum(len(b.instructions) for b in target_fn.blocks)
-        total = sum(
-            len(b.instructions) for f in defined for b in f.blocks
-        )
-        assert core.row_rebuilds == total + rebuilt
+        total = sum(len(b.instructions) for f in defined for b in f.blocks)
+        assert engine.flat_row_rebuilds == total + rebuilt
 
         # Results after the localized rebuild are still exactly the
         # object path's.
-        assert size == object_size(module, "x86-64")
-        assert mca == estimate_throughput(module, "x86-64")
-        assert np.array_equal(emb, encoder.program_embedding(module))
+        size, mca, embedding = reference_measure(module)
+        assert got.size_report == size
+        assert got.mca == mca
+        assert np.array_equal(got.embedding, embedding)
 
     def test_unchanged_measure_builds_nothing(self):
-        core = FlatCore("x86-64")
-        encoder = IR2VecEncoder()
+        engine = MetricsEngine()
         module = generate_fuzz_program(FuzzProfile(seed=7))
-        self._measure(module, core, encoder)
-        builds = core.builds
+        engine.measure(module)
+        builds = engine.flat_builds
         for _ in range(3):
-            self._measure(module, core, encoder)
-        assert core.builds == builds
-        assert core.invalidations == 0
+            engine.measure(module)
+        assert engine.flat_builds == builds
 
 
 class TestMetricsEngineIntegration:
     def test_flat_engine_matches_object_engine(self):
+        """The engine's flat kernels equal the object walks on every
+        field of the measurement."""
         module = generate_fuzz_program(FuzzProfile(seed=3))
-        from repro.core.metrics import MetricsEngine
-
-        flat_engine = MetricsEngine(enabled=True, flat=True)
-        object_engine = MetricsEngine(enabled=True, flat=False)
-        a = flat_engine.measure(module.clone())
-        b = object_engine.measure(module.clone())
-        assert a.size == b.size
-        assert a.cycles == b.cycles
-        assert a.throughput == b.throughput
-        assert np.array_equal(a.embedding, b.embedding)
-        assert a.size_report == b.size_report
-        assert a.mca == b.mca
+        got = MetricsEngine().measure(module.clone())
+        size, mca, embedding = reference_measure(module.clone())
+        assert got.size == size.total_bytes
+        assert got.cycles == mca.total_cycles
+        assert got.throughput == mca.throughput
+        assert np.array_equal(got.embedding, embedding)
+        assert got.size_report == size
+        assert got.mca == mca
 
     def test_stats_expose_flat_core(self):
-        from repro.core.metrics import MetricsEngine
-
         module = generate_fuzz_program(FuzzProfile(seed=3))
-        engine = MetricsEngine(enabled=True, flat=True)
+        engine = MetricsEngine()
         engine.measure(module)
         stats = engine.stats()
-        assert stats["flat"]["builds"] > 0
+        defined = sum(not f.is_declaration for f in module.functions)
+        assert stats["flat"]["builds"] == defined
         assert stats["flat"]["row_rebuilds"] > 0
-        assert stats["flat"]["bytes_resident"] > 0
-        no_flat = MetricsEngine(enabled=True, flat=False)
-        assert "flat" not in no_flat.stats()
-        disabled = MetricsEngine(enabled=False)
-        assert disabled.stats() == {"enabled": {"enabled": 0.0}}
 
     def test_clear_resets_flat_core(self):
-        from repro.core.metrics import MetricsEngine
-
         module = generate_fuzz_program(FuzzProfile(seed=3))
-        engine = MetricsEngine(enabled=True, flat=True)
+        engine = MetricsEngine()
         engine.measure(module)
         assert engine.stats()["flat"]["builds"] > 0
         engine.clear()
@@ -230,20 +247,12 @@ class TestObservability:
 
     def test_flat_counters_published(self, enabled):
         registry, _ = enabled
-        core = FlatCore("x86-64")
+        engine = MetricsEngine()
         module = generate_fuzz_program(FuzzProfile(seed=5))
-        defined = 0
-        for fn in module.functions:
-            if fn.is_declaration:
-                continue
-            core.get(fn, function_fingerprint(fn))
-            defined += 1
+        engine.measure(module)
+        defined = sum(not f.is_declaration for f in module.functions)
         assert registry.get_value("repro_ir_flat_builds_total") == defined
         assert (
             registry.get_value("repro_ir_flat_row_rebuilds_total")
-            == core.row_rebuilds
-        )
-        assert registry.get_value("repro_ir_flat_invalidations_total") == 0
-        assert registry.get_value("repro_ir_flat_bytes_resident") >= float(
-            core.bytes_resident()
+            == engine.flat_row_rebuilds
         )

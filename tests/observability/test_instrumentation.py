@@ -101,10 +101,18 @@ class TestCacheMirror:
         module = _module()
         engine.measure(module)
         engine.measure(module)
-        for name in ("size", "mca", "embedding"):
+        for name in ("functions", "transitions"):
             assert registry.get_value(
-                "repro_cache_hits_total", {"cache": name}
-            ) >= 1
+                "repro_cache_misses_total", {"cache": name}
+            ) is not None
+        assert registry.get_value(
+            "repro_cache_hits_total", {"cache": "functions"}
+        ) >= 1
+        # One record cache replaces the per-quantity caches.
+        for gone in ("size", "mca", "embedding", "flat"):
+            assert registry.get_value(
+                "repro_cache_hits_total", {"cache": gone}
+            ) is None
 
 
 class TestTrainingMetrics:
