@@ -8,6 +8,7 @@ service (``benchmarks/results/perf_serving.json``)."""
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -118,11 +119,18 @@ def test_train_vectorized_speedup():
       of 8 single-state forwards + 8 pushes). Asserted ≥2× at
       ``n_envs=8``; environment stepping is excluded, so this holds on
       any core count.
-    * **end to end** — ``PosetRL.train`` vs ``train_vectorized`` on the
-      same corpus and step budget. Reported (not asserted ≥2×): stepping
-      is dominated by the pass pipeline + measurement, which in-process
-      lockstep cannot parallelize — on a single core it lands near 1×;
-      ``workers=N`` moves it toward N× on multi-core.
+    * **end to end** — ``PosetRL.train`` (``n_envs=1``) vs
+      ``train_vectorized`` at ``n_envs=8`` on the same corpus and step
+      budget. Reported, with only a no-regression floor: stepping is
+      dominated by the pass pipeline + measurement, which in-process
+      lockstep cannot parallelize, so it lands near 1×. One untimed
+      episode on a throwaway facade runs first, the collector is emptied
+      before each timed run, and each side keeps the best of three
+      alternating runs (as the decision path keeps its best of three):
+      the first timed run after a fresh checkout has been measured ~9×
+      slow on a 2-CPU VM (about 1 s of extra CPU time and ~300
+      involuntary context switches, gone with one BLAS thread), and
+      that stall must not land on one side only.
     """
     corpus = [
         (
@@ -156,14 +164,24 @@ def test_train_vectorized_speedup():
     decision_speedup = serial_s / batched_s if batched_s else float("inf")
 
     total_steps = 120
-    vec_agent = PosetRL(seed=0)
-    vec_agent.train_vectorized(corpus, total_steps=total_steps, n_envs=N_ENVS)
-    vec_report = vec_agent.last_train_throughput
-    serial_agent = PosetRL(seed=0)
-    serial_agent.train(
-        corpus, episodes=total_steps // serial_agent.episode_length
+
+    def timed_run(vectorized):
+        gc.collect()
+        agent = PosetRL(seed=0)
+        if vectorized:
+            agent.train_vectorized(
+                corpus, total_steps=total_steps, n_envs=N_ENVS
+            )
+        else:
+            agent.train(corpus, episodes=total_steps // agent.episode_length)
+        return agent.last_train_throughput
+
+    PosetRL(seed=0).train(corpus[:1], episodes=1)
+    runs = [(timed_run(True), timed_run(False)) for _ in range(3)]
+    vec_report, serial_report = (
+        max(side, key=lambda report: report.steps_per_second)
+        for side in zip(*runs)
     )
-    serial_report = serial_agent.last_train_throughput
     e2e_speedup = (
         vec_report.steps_per_second / serial_report.steps_per_second
         if serial_report.steps_per_second
@@ -186,8 +204,8 @@ def test_train_vectorized_speedup():
             "vectorized": vec_report.as_dict(),
             "speedup": round(e2e_speedup, 2),
             "note": (
-                "in-process lockstep; env stepping dominates and is serial "
-                "on one core — use workers=N for multi-core scaling"
+                "in-process lockstep; env stepping dominates and runs one "
+                "env at a time on either side"
             ),
         },
     }
@@ -201,7 +219,7 @@ def test_train_vectorized_speedup():
         f"{vec_report.steps_per_second:.0f} steps/s)"
     )
     assert decision_speedup >= 2.0, payload
-    # End-to-end must at least not regress materially on one core.
+    # End-to-end must at least not regress materially.
     assert e2e_speedup >= 0.5, payload
 
 

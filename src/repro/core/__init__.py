@@ -34,7 +34,7 @@ from .search import (
     rollout_policy,
 )
 from .rewards import ALPHA, BETA, RewardWeights, binsize_reward, combined_reward, throughput_reward
-from .vector_env import EnvSpec, EpisodeRecord, VectorPhaseOrderingEnv
+from .vector_env import EpisodeRecord, VectorPhaseOrderingEnv
 from .subsequences import (
     MANUAL_SUBSEQUENCES,
     OZ_PASS_SEQUENCE,
@@ -49,7 +49,6 @@ __all__ = [
     "BenchmarkResult",
     "DEFAULT_CRITICAL_DEGREE",
     "DEFAULT_EPISODE_LENGTH",
-    "EnvSpec",
     "EpisodeRecord",
     "MANUAL_SUBSEQUENCES",
     "MetricsEngine",

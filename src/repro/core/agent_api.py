@@ -31,7 +31,7 @@ from .environment import (
 from .evaluate import BenchmarkResult, SuiteSummary, evaluate_suite
 from .metrics import MetricsEngine
 from .rewards import RewardWeights
-from .vector_env import EnvSpec, VectorPhaseOrderingEnv
+from .vector_env import EpisodeRecord, VectorPhaseOrderingEnv
 
 
 @dataclass
@@ -51,7 +51,6 @@ class TrainThroughput:
     """Wall-clock throughput of one training run."""
 
     n_envs: int
-    workers: int
     total_steps: int
     episodes: int
     wall_seconds: float
@@ -68,7 +67,6 @@ class TrainThroughput:
     def as_dict(self) -> Dict[str, float]:
         return {
             "n_envs": self.n_envs,
-            "workers": self.workers,
             "total_steps": self.total_steps,
             "episodes": self.episodes,
             "wall_seconds": round(self.wall_seconds, 4),
@@ -217,87 +215,49 @@ class PosetRL:
         episodes: int = 50,
         callback: Optional[Callable[[TrainStats], None]] = None,
     ) -> List[TrainStats]:
-        """ε-greedy training over a corpus.
+        """ε-greedy training over a corpus, one environment at a time.
 
         ``modules`` are (name, module) pairs — e.g. the 130 llvm-test-suite
         single-source programs the paper trains on. Episodes sample the
-        corpus uniformly; each episode runs ``episode_length`` steps.
+        corpus uniformly; each episode runs ``episode_length`` steps. This
+        is :meth:`train_vectorized` with ``n_envs=1``.
         """
         if not modules:
             raise ValueError("training corpus is empty")
-        envs: Dict[str, PhaseOrderingEnv] = {}
-        stats: List[TrainStats] = []
-        start = time.perf_counter()
-        train_updates_before = self.agent.train_steps
-        for episode in range(episodes):
-            name, module = modules[int(self._rng.randint(len(modules)))]
-            env = envs.get(name)
-            if env is None:
-                env = self.make_env(module)
-                envs[name] = env
-            state = env.reset()
-            total = 0.0
-            actions: List[int] = []
-            done = False
-            while not done:
-                action = self.agent.act(state)
-                next_state, reward, done, info = env.step(action)
-                self.agent.remember(state, action, reward, next_state, done)
-                state = next_state
-                total += reward
-                actions.append(action)
-            record = TrainStats(
-                episode=episode,
-                module=name,
-                total_reward=total,
-                final_size=env.last_size,
-                epsilon=self.agent.epsilon,
-                actions=actions,
-            )
-            stats.append(record)
-            _publish_episode(record)
-            if callback is not None:
-                callback(record)
-        self._flush_updates()
-        self.last_train_throughput = TrainThroughput(
-            n_envs=1,
-            workers=0,
-            total_steps=sum(len(s.actions) for s in stats),
-            episodes=len(stats),
-            wall_seconds=time.perf_counter() - start,
-            train_updates=self.agent.train_steps - train_updates_before,
+        return self.train_vectorized(
+            modules, episodes=episodes, n_envs=1, callback=callback
         )
-        _publish_throughput(self.last_train_throughput)
-        self.train_history.extend(stats)
-        return stats
 
     def make_vector_env(
-        self,
-        modules: Sequence[Tuple[str, Module]],
-        n_envs: int,
-        workers: int = 0,
+        self, modules: Sequence[Tuple[str, Module]], n_envs: int
     ) -> VectorPhaseOrderingEnv:
         """``n_envs`` lockstep environments over ``modules``.
 
-        In-process slots share this facade's metrics engine (and its
-        corpus-sampling RNG, so vectorized and serial training draw the
-        same module sequence). ``workers > 0`` moves environment stepping
-        into that many child processes — each worker then owns a private
-        engine, since caches cannot cross the process boundary.
+        Slots share this facade's metrics engine and its corpus-sampling
+        RNG, so every training run continues one module sequence.
         """
-        if workers:
-            spec = EnvSpec(
-                action_space_kind=self.action_space_kind,
-                target=self.target,
-                weights=self.weights,
-                episode_length=self.episode_length,
-            )
-            return VectorPhaseOrderingEnv(
-                modules, n_envs, rng=self._rng, workers=workers, spec=spec
-            )
         return VectorPhaseOrderingEnv(
-            modules, n_envs, env_factory=self.make_env, rng=self._rng
+            modules, n_envs, self.make_env, rng=self._rng
         )
+
+    def _record_episode(
+        self,
+        rec: EpisodeRecord,
+        stats: List[TrainStats],
+        callback: Optional[Callable[[TrainStats], None]],
+    ) -> None:
+        record = TrainStats(
+            episode=len(stats),
+            module=rec.module,
+            total_reward=rec.total_reward,
+            final_size=rec.final_size,
+            epsilon=self.agent.epsilon,
+            actions=rec.actions,
+        )
+        stats.append(record)
+        _publish_episode(record)
+        if callback is not None:
+            callback(record)
 
     def train_vectorized(
         self,
@@ -306,7 +266,6 @@ class PosetRL:
         n_envs: int = 8,
         *,
         episodes: Optional[int] = None,
-        workers: int = 0,
         callback: Optional[Callable[[TrainStats], None]] = None,
     ) -> List[TrainStats]:
         """Batched ε-greedy training: ``n_envs`` environments per decision.
@@ -314,18 +273,17 @@ class PosetRL:
         Each iteration makes one batched ``act_batch`` forward over the
         ``(n_envs, state_dim)`` observation matrix, steps every
         environment in lockstep, and stores the resulting transitions
-        with serial per-transition semantics (step counting, training
-        cadence, target syncs). With ``n_envs=1`` this reproduces
-        :meth:`train` bit-for-bit for the same seed; larger ``n_envs``
-        amortizes the network forward — and, with ``workers``, overlaps
-        environment stepping across processes.
+        with per-transition semantics (step counting, training cadence,
+        target syncs). With ``n_envs=1`` this is the paper's serial loop:
+        one module draw per episode, one ε-greedy action and one stored
+        transition per step. Larger ``n_envs`` amortize the network
+        forward over the batch.
 
         Give exactly one of ``total_steps`` (environment transitions,
         summed over envs; the loop stops at the first lockstep boundary
         ≥ it) or ``episodes`` (converted via ``episode_length``).
-        Episode records match :meth:`train`'s and extend
-        ``train_history``; the wall-clock summary lands in
-        :attr:`last_train_throughput`.
+        Episode records extend ``train_history``; the wall-clock summary
+        lands in :attr:`last_train_throughput`.
         """
         if (total_steps is None) == (episodes is None):
             raise ValueError("specify exactly one of total_steps / episodes")
@@ -335,43 +293,28 @@ class PosetRL:
         if total_steps <= 0:
             raise ValueError("total_steps must be positive")
 
-        venv = self.make_vector_env(modules, n_envs, workers=workers)
+        venv = self.make_vector_env(modules, n_envs)
         stats: List[TrainStats] = []
         steps_done = 0
         train_updates_before = self.agent.train_steps
         start = time.perf_counter()
-        try:
-            venv.reset()
-            while steps_done < total_steps:
-                # Pending auto-resets materialize here — after the
-                # previous step's transitions were stored, which is when
-                # the serial loop would sample its next module.
-                states = venv.observations
-                actions = self.agent.act_batch(states)
-                next_states, rewards, dones, _infos = venv.step(actions)
-                self.agent.remember_batch(
-                    states, actions, rewards, next_states, dones
-                )
-                steps_done += venv.n_envs
-                for rec in venv.pop_completed():
-                    record = TrainStats(
-                        episode=len(stats),
-                        module=rec.module,
-                        total_reward=rec.total_reward,
-                        final_size=rec.final_size,
-                        epsilon=self.agent.epsilon,
-                        actions=rec.actions,
-                    )
-                    stats.append(record)
-                    _publish_episode(record)
-                    if callback is not None:
-                        callback(record)
-        finally:
-            venv.close()
+        venv.reset()
+        while steps_done < total_steps:
+            # Pending auto-resets materialize here — after the previous
+            # step's transitions were stored, which is when a per-episode
+            # loop would sample its next module.
+            states = venv.observations
+            actions = self.agent.act_batch(states)
+            next_states, rewards, dones, _infos = venv.step(actions)
+            self.agent.remember_batch(
+                states, actions, rewards, next_states, dones
+            )
+            steps_done += venv.n_envs
+            for rec in venv.pop_completed():
+                self._record_episode(rec, stats, callback)
         self._flush_updates()
         self.last_train_throughput = TrainThroughput(
             n_envs=n_envs,
-            workers=venv.workers,
             total_steps=steps_done,
             episodes=len(stats),
             wall_seconds=time.perf_counter() - start,
@@ -452,20 +395,8 @@ class PosetRL:
             save_fn = self.agent.online.save
         stats: List[TrainStats] = []
 
-        def on_episode(episode) -> None:
-            name, total_reward, final_size, ep_actions = episode
-            record = TrainStats(
-                episode=len(stats),
-                module=name,
-                total_reward=total_reward,
-                final_size=final_size,
-                epsilon=self.agent.epsilon,
-                actions=ep_actions,
-            )
-            stats.append(record)
-            _publish_episode(record)
-            if callback is not None:
-                callback(record)
+        def on_episode(rec: EpisodeRecord) -> None:
+            self._record_episode(rec, stats, callback)
 
         train_updates_before = self.agent.train_steps
         report = run_actor_learner(
@@ -483,7 +414,6 @@ class PosetRL:
         self.last_distributed_report = report
         self.last_train_throughput = TrainThroughput(
             n_envs=actors,
-            workers=actors,
             total_steps=report.total_steps,
             episodes=len(stats),
             wall_seconds=report.wall_seconds,

@@ -1,9 +1,9 @@
 """Asynchronous actor-learner training (Ape-X style, deterministic).
 
-Topology: ``n_actors`` child processes each own a private set of
-:class:`~repro.core.environment.PhaseOrderingEnv` instances over the
-training corpus (modules cross the pipe once as printed IR text — the
-``vector_env`` worker idiom) and roll out ε-greedy (DQN) or
+Topology: ``n_actors`` child processes each step a one-slot
+:class:`~repro.core.vector_env.VectorPhaseOrderingEnv` over the
+training corpus (modules cross the pipe once, at spawn, as printed IR
+text — ``Module`` objects do not pickle) and roll out ε-greedy (DQN) or
 policy-sampled (PPO) episodes against a **pinned network snapshot**.
 The parent process is the learner: it ingests rollout chunks into the
 agent's replay ring (optionally sum-tree prioritized) or PPO lane
@@ -37,12 +37,15 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..observability import get_registry
 from .schedule import LinearSchedule
+
+if TYPE_CHECKING:  # pragma: no cover - the core package imports this one
+    from ..core.vector_env import EpisodeRecord
 
 #: Seed stride between actors: actor ``i`` offsets every stream by
 #: ``ACTOR_SEED_STRIDE * i`` so actor 0 matches the in-process streams.
@@ -84,8 +87,8 @@ class ActorChunk:
     #: PPO only: per-transition log-prob/value under the pinned snapshot.
     logprobs: Optional[np.ndarray]
     values: Optional[np.ndarray]
-    #: (module, total_reward, final_size, actions) per finished episode.
-    episodes: List[Tuple[str, float, int, List[int]]]
+    #: Finished episodes, oldest first.
+    episodes: List["EpisodeRecord"]
     snapshot_version: int
     wall_seconds: float
 
@@ -180,8 +183,10 @@ def _actor_worker(conn, spec: ActorSpec) -> None:
       Loads the ``.npz`` snapshot, pins it, and re-bases the ε schedule
       on the learner's global step count.
     * ``("rollout", n)`` → :class:`ActorChunk` of exactly ``n``
-      transitions (episodes auto-reset; corpus resampled lazily exactly
-      where the serial loop would draw).
+      transitions, stepped through a one-slot
+      :class:`~repro.core.vector_env.VectorPhaseOrderingEnv` (episodes
+      auto-reset; the corpus is resampled lazily, exactly where the
+      in-process trainer draws).
     * ``("drain",)`` → :class:`ActorFinalStats`.
     * ``("close",)`` → exit.
     """
@@ -189,17 +194,33 @@ def _actor_worker(conn, spec: ActorSpec) -> None:
     # the parent even when actors are never spawned.
     from ..core.environment import PhaseOrderingEnv, make_action_space
     from ..core.metrics import MetricsEngine
+    from ..core.vector_env import VectorPhaseOrderingEnv
     from ..ir.parser import parse_module
     from .network import QNetwork
     from .ppo import PolicyValueNetwork, log_softmax
 
     action_space = make_action_space(spec.action_space_kind)
     engine = MetricsEngine(spec.target)
-    modules = [(name, parse_module(text)) for name, text in spec.corpus]
-    envs: Dict[str, PhaseOrderingEnv] = {}
+
+    def make_env(module) -> PhaseOrderingEnv:
+        return PhaseOrderingEnv(
+            module,
+            action_space,
+            target=spec.target,
+            weights=spec.weights,
+            episode_length=spec.episode_length,
+            metrics=engine,
+        )
+
     offset = ACTOR_SEED_STRIDE * spec.actor_id
     explore_rng = np.random.RandomState(spec.seed + 7 + offset)
     sample_rng = np.random.RandomState(spec.seed + 13 + offset)
+    venv = VectorPhaseOrderingEnv(
+        [(name, parse_module(text)) for name, text in spec.corpus],
+        1,
+        make_env,
+        rng=sample_rng,
+    )
     schedule = LinearSchedule(
         spec.epsilon_start, spec.epsilon_end, spec.epsilon_steps
     )
@@ -211,13 +232,6 @@ def _actor_worker(conn, spec: ActorSpec) -> None:
     steps_since_load = 0
     local_steps = 0
     episodes_done = 0
-
-    env: Optional[PhaseOrderingEnv] = None
-    state: Optional[np.ndarray] = None
-    need_reset = True
-    ep_name = ""
-    ep_reward = 0.0
-    ep_actions: List[int] = []
 
     try:
         while True:
@@ -241,32 +255,10 @@ def _actor_worker(conn, spec: ActorSpec) -> None:
                 next_states, dones = [], []
                 logprobs: List[float] = []
                 values: List[float] = []
-                episodes: List[Tuple[str, float, int, List[int]]] = []
                 for _ in range(n):
-                    if need_reset:
-                        ep_name, module = modules[
-                            int(sample_rng.randint(len(modules)))
-                        ]
-                        env = envs.get(ep_name)
-                        if env is None:
-                            env = PhaseOrderingEnv(
-                                module,
-                                action_space,
-                                target=spec.target,
-                                weights=spec.weights,
-                                episode_length=spec.episode_length,
-                                metrics=engine,
-                            )
-                            envs[ep_name] = env
-                        state = env.reset()
-                        ep_reward = 0.0
-                        ep_actions = []
-                        need_reset = False
-                    assert env is not None and state is not None
+                    state = venv.observations[0]
                     if is_ppo:
-                        logits, value = net.predict(
-                            np.asarray(state, dtype=np.float64)
-                        )
+                        logits, value = net.predict(state)
                         logp = log_softmax(logits[None, :])[0]
                         probs = np.exp(logp)
                         u = explore_rng.random_sample()
@@ -279,37 +271,25 @@ def _actor_worker(conn, spec: ActorSpec) -> None:
                         logprobs.append(float(logp[action]))
                         values.append(float(value))
                     else:
-                        # Exactly the DQNAgent.act stream: one uniform
-                        # draw, then a randint only when exploring.
+                        # Exactly the DQNAgent.act_batch stream: one
+                        # uniform draw, then a randint only when exploring.
                         eps = schedule.value(eps_base + steps_since_load)
                         if explore_rng.random_sample() < eps:
                             action = int(
                                 explore_rng.randint(spec.num_actions)
                             )
                         else:
-                            q = net.predict(state)
-                            action = int(np.argmax(q))
-                    next_state, reward, done, _info = env.step(action)
-                    states.append(np.asarray(state, dtype=np.float64))
+                            action = int(np.argmax(net.predict(state)))
+                    next_row, reward_row, done_row, _ = venv.step([action])
+                    states.append(state)
                     acts.append(action)
-                    rewards.append(float(reward))
-                    next_states.append(
-                        np.asarray(next_state, dtype=np.float64)
-                    )
-                    dones.append(bool(done))
-                    ep_reward += reward
-                    ep_actions.append(action)
+                    rewards.append(reward_row[0])
+                    next_states.append(next_row[0])
+                    dones.append(done_row[0])
                     steps_since_load += 1
                     local_steps += 1
-                    if done:
-                        episodes.append(
-                            (ep_name, ep_reward, env.last_size,
-                             list(ep_actions))
-                        )
-                        episodes_done += 1
-                        need_reset = True
-                    else:
-                        state = next_state
+                episodes = venv.pop_completed()
+                episodes_done += len(episodes)
                 conn.send(
                     ActorChunk(
                         states=np.stack(states),
@@ -483,8 +463,8 @@ def run_actor_learner(
 
     ``agent`` is the learner-side agent (DQN family or PPO); ``save_fn``
     checkpoints its current weights to a path. ``on_episode`` receives
-    each finished ``(module, total_reward, final_size, actions)`` tuple
-    in deterministic ingestion order.
+    each finished :class:`~repro.core.vector_env.EpisodeRecord` in
+    deterministic ingestion order.
     """
     if total_steps <= 0:
         raise ValueError("total_steps must be positive")

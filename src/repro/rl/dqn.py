@@ -90,21 +90,17 @@ class DQNAgent:
         return self.epsilon_schedule.value(self.steps)
 
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        """ε-greedy action (or pure greedy for evaluation)."""
-        if not greedy and self._rng.random_sample() < self.epsilon:
-            return int(self._rng.randint(self.config.num_actions))
-        # ``predict`` normalizes dtype at its own boundary; no extra copy.
-        q = self.online.predict(state)
-        return int(np.argmax(q))
+        """ε-greedy action (or pure greedy for evaluation): a one-row
+        :meth:`act_batch`."""
+        return int(self.act_batch(np.reshape(state, (1, -1)), greedy)[0])
 
     def act_batch(self, states: np.ndarray, greedy: bool = False) -> np.ndarray:
         """ε-greedy actions for a whole ``(n, state_dim)`` batch.
 
         One ``QNetwork.predict`` forward serves every row. The per-row
-        exploration draws happen in row order with exactly the calls
-        :meth:`act` makes, so with ``n == 1`` the RNG stream — and
-        therefore the chosen action sequence — is identical to calling
-        :meth:`act` once per step.
+        exploration draws happen in row order — one uniform draw, then a
+        ``randint`` only when exploring — so the RNG stream depends only
+        on the number of rows acted on, not on how they were batched.
         """
         states = np.asarray(states, dtype=np.float64)
         if states.ndim != 2:
@@ -136,10 +132,8 @@ class DQNAgent:
         next_state: np.ndarray,
         done: bool,
     ) -> None:
-        self.memory.push(
-            state, action, reward * self.config.reward_scale, next_state, done
-        )
-        self._after_push()
+        """Store one transition: a one-row :meth:`remember_batch`."""
+        self.remember_batch([state], [action], [reward], [next_state], [done])
 
     def remember_batch(
         self,
@@ -153,10 +147,9 @@ class DQNAgent:
 
         Step counting, the ``train_every`` training cadence and target
         synchronization all remain *per transition*: a training update
-        that serial :meth:`remember` would have run between two pushes
-        still runs between them here, so ``n == 1`` batches reproduce
-        the serial trajectory bit-for-bit and larger batches change
-        nothing about when (or on what) the network trains.
+        that one-at-a-time storage would have run between two pushes
+        still runs between them here, so batching changes nothing about
+        when (or on what) the network trains.
 
         Insertion is still vectorized: updates and target syncs can only
         fire at ``train_every`` / ``target_sync_every`` step boundaries,
@@ -199,14 +192,6 @@ class DQNAgent:
                 self.last_loss = self._train_step()
             if self.steps % c.target_sync_every == 0:
                 self.target.copy_from(self.online)
-
-    def _after_push(self) -> None:
-        self.steps += 1
-        c = self.config
-        if len(self.memory) >= c.min_replay and self.steps % c.train_every == 0:
-            self.last_loss = self._train_step()
-        if self.steps % c.target_sync_every == 0:
-            self.target.copy_from(self.online)
 
     def _next_q(self, next_states: np.ndarray) -> np.ndarray:
         target_q = self.target.predict(next_states)

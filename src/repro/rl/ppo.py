@@ -338,10 +338,7 @@ class PPOAgent:
         return action
 
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        logits, value = self.net.predict(
-            np.asarray(state, dtype=np.float64)
-        )
-        return self._sample_row(logits, value, greedy, lane=0)
+        return int(self.act_batch(np.reshape(state, (1, -1)), greedy)[0])
 
     def act_batch(self, states: np.ndarray, greedy: bool = False) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
@@ -408,8 +405,7 @@ class PPOAgent:
         next_state: np.ndarray,
         done: bool,
     ) -> None:
-        self._store(0, state, action, reward, next_state, done)
-        self._maybe_update()
+        self.remember_batch([state], [action], [reward], [next_state], [done])
 
     def remember_batch(
         self,

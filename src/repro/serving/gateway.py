@@ -27,8 +27,9 @@ phase-ordering evaluation: N worker *processes*, each running a full
 
 Workers are subprocesses reached over :mod:`multiprocessing` pipes —
 IR crosses as text, results come back as pickled
-:class:`~repro.serving.service.OptimizeResult`\\ s, the same crossing the
-``vector_env`` subprocess workers proved out. The gateway heartbeats
+:class:`~repro.serving.service.OptimizeResult`\\ s, the same crossing
+:func:`~repro.core.evaluate.evaluate_suite` and the distributed actors
+use. The gateway heartbeats
 every worker; a crashed or wedged worker is **restarted** and its
 in-flight requests are **failed over** to a sibling shard (a request
 that survives two worker losses resolves as ``rejected`` rather than

@@ -7,16 +7,17 @@ engine's cache counters. A function-record miss builds the record (size,
 MCA and embedding together) inside the ``codegen`` stage.
 
 ``--train N`` switches to the training-throughput harness: it runs one
-training loop — ``--train-mode`` picks serial, vectorized (default) or
-the distributed actor-learner pipeline, ``--algo`` picks the learner
-(ddqn / dqn / prioritized-ddqn / ppo) — for N environment steps over the
-selected corpus and prints the
-:class:`~repro.core.agent_api.TrainThroughput` report (steps/sec,
-episodes/sec, training updates). ``--compare-serial`` additionally times
-the serial ``PosetRL.train`` loop on the same budget and prints the
-speedup; distributed runs also print the pipeline report (broadcasts,
-snapshot staleness, per-actor rates) and ``--fail-on-no-broadcast``
-turns a broadcast-free or unclean run into a nonzero exit for CI.
+training loop — ``--train-mode`` picks the vectorized loop (default;
+``--n-envs 1`` is the paper's one-env-at-a-time loop) or the distributed
+actor-learner pipeline, ``--algo`` picks the learner (ddqn / dqn /
+prioritized-ddqn / ppo) — for N environment steps over the selected
+corpus and prints the :class:`~repro.core.agent_api.TrainThroughput`
+report (steps/sec, episodes/sec, training updates). ``--compare-serial``
+additionally times the same loop at ``n_envs=1`` on the same budget and
+prints the speedup; distributed runs also print the pipeline report
+(broadcasts, snapshot staleness, per-actor rates) and
+``--fail-on-no-broadcast`` turns a broadcast-free or unclean run into a
+nonzero exit for CI.
 
 Examples::
 
@@ -26,7 +27,7 @@ Examples::
     python -m repro.tools.profile --episodes 5 input.ll   # repeat to see hits
     python -m repro.tools.profile --suite mibench --train 480 --n-envs 8
     python -m repro.tools.profile --suite mibench --train 480 --n-envs 8 \\
-        --workers 8 --compare-serial
+        --compare-serial
     python -m repro.tools.profile --suite mibench --train 120 \\
         --train-mode distributed --actors 2 --algo prioritized-ddqn \\
         --fail-on-no-broadcast
@@ -127,7 +128,7 @@ def _print_distributed_report(report) -> None:
 
 
 def _run_train_harness(args, corpus) -> int:
-    """Time one training mode (serial / vectorized / distributed)."""
+    """Time one training mode (vectorized / distributed)."""
     from ..core.agent_api import PosetRL
 
     def make_agent() -> PosetRL:
@@ -141,8 +142,8 @@ def _run_train_harness(args, corpus) -> int:
 
     print(f"training-throughput harness: {args.train} steps, "
           f"mode={args.train_mode}, algo={args.algo}, "
-          f"n_envs={args.n_envs}, workers={args.workers}, "
-          f"actors={args.actors}, corpus={len(corpus)} module(s)")
+          f"n_envs={args.n_envs}, actors={args.actors}, "
+          f"corpus={len(corpus)} module(s)")
     agent = make_agent()
     if args.train_mode == "distributed":
         agent.train_distributed(
@@ -158,25 +159,19 @@ def _run_train_harness(args, corpus) -> int:
             print("FAIL: no weight broadcast reached an actor or the drain "
                   "was not clean", file=sys.stderr)
             return 1
-    elif args.train_mode == "serial":
-        episodes = max(1, args.train // max(args.steps, 1))
-        agent.train(corpus, episodes=episodes)
-        _print_throughput("serial", agent.last_train_throughput)
     else:
         agent.train_vectorized(
-            corpus, total_steps=args.train, n_envs=args.n_envs,
-            workers=args.workers,
+            corpus, total_steps=args.train, n_envs=args.n_envs
         )
         _print_throughput("vectorized", agent.last_train_throughput)
-    vec = agent.last_train_throughput
-    if args.compare_serial and args.train_mode != "serial":
+    if args.compare_serial:
+        fast = agent.last_train_throughput
         serial_agent = make_agent()
-        episodes = max(1, args.train // max(args.steps, 1))
-        serial_agent.train(corpus, episodes=episodes)
+        serial_agent.train_vectorized(corpus, total_steps=args.train, n_envs=1)
         serial = serial_agent.last_train_throughput
         _print_throughput("serial", serial)
         if serial.steps_per_second:
-            print(f"speedup: {vec.steps_per_second / serial.steps_per_second:.2f}x "
+            print(f"speedup: {fast.steps_per_second / serial.steps_per_second:.2f}x "
                   f"({args.train_mode} vs serial steps/sec)")
     _print_cache_counters(agent.cache_stats())
     return 0
@@ -209,16 +204,13 @@ def run(argv: Optional[List[str]] = None) -> int:
                         help="run the training-throughput harness for this "
                         "many environment steps instead of stage profiling")
     parser.add_argument("--train-mode", default="vectorized",
-                        choices=("serial", "vectorized", "distributed"),
+                        choices=("vectorized", "distributed"),
                         help="training loop for --train (default vectorized)")
     parser.add_argument("--algo", default="ddqn",
                         choices=("ddqn", "dqn", "prioritized-ddqn", "ppo"),
                         help="learning algorithm for --train (default ddqn)")
     parser.add_argument("--n-envs", type=int, default=8,
                         help="vector width for --train (default 8)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="environment worker processes for --train "
-                        "(default 0: step in-process)")
     parser.add_argument("--actors", type=int, default=2,
                         help="actor processes for --train-mode distributed "
                         "(default 2)")
@@ -233,8 +225,8 @@ def run(argv: Optional[List[str]] = None) -> int:
                         "unless at least one weight broadcast reached an "
                         "actor and every actor drained cleanly")
     parser.add_argument("--compare-serial", action="store_true",
-                        help="with --train: also time the serial train loop "
-                        "and print the speedup")
+                        help="with --train: also time the n_envs=1 loop on "
+                        "the same budget and print the speedup")
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="enable observability and write a metrics/trace "
                         "snapshot to this JSON file (render it with "

@@ -1,10 +1,12 @@
-"""train_vectorized: serial equivalence at n_envs=1, batched sanity.
+"""One training loop: serial equivalence at n_envs=1, batched sanity.
 
-The load-bearing guarantee of the vectorized trainer is that it is not a
-different algorithm: with ``n_envs=1`` and the same seed it must consume
-the same RNG streams and produce exactly the serial loop's trajectory —
-module sampling order, action sequences, replay contents, training
-losses, and final network weights.
+The load-bearing guarantee of the training loop is that it is the
+paper's algorithm: with ``n_envs=1`` and the same seed, ``train`` and
+``train_vectorized`` consume the same RNG streams and produce exactly
+the trajectory of the per-transition reference loop in
+``tests/training_reference.py`` — module sampling order, action
+sequences, replay (or PPO lane) contents, training losses, and final
+network weights — for every learner.
 """
 
 import numpy as np
@@ -12,9 +14,13 @@ import pytest
 
 from repro.core.agent_api import PosetRL, TrainThroughput
 from repro.rl.dqn import AgentConfig
+from repro.rl.ppo import PPOConfig
 from repro.workloads import ProgramProfile, generate_program
 
+from tests.training_reference import reference_train
+
 EPISODE_LENGTH = 5
+ALGOS = ["ddqn", "dqn", "prioritized-ddqn", "ppo"]
 
 
 @pytest.fixture(scope="module")
@@ -28,80 +34,131 @@ def corpus():
     ]
 
 
-def _make_agent(seed=3):
-    # Small min_replay so training updates (and their sampling RNG) are
-    # exercised inside the comparison window.
+def _make_agent(seed=3, algo="ddqn"):
+    # Small min_replay / horizon so training updates (and their sampling
+    # RNG) are exercised inside the comparison window.
     config = AgentConfig(min_replay=8, batch_size=4, train_every=2,
                         target_sync_every=16)
+    ppo_config = PPOConfig(horizon=8, minibatch_size=4, epochs=2)
     return PosetRL(seed=seed, episode_length=EPISODE_LENGTH,
-                   agent_config=config)
+                   agent_config=config, ppo_config=ppo_config, algo=algo)
 
 
-class TestSerialEquivalence:
-    def test_n_envs_1_is_trajectory_identical(self, corpus):
-        episodes = 6
-        serial = _make_agent()
-        serial_stats = serial.train(corpus, episodes=episodes)
-        vec = _make_agent()
-        vec_stats = vec.train_vectorized(corpus, episodes=episodes, n_envs=1)
+def _rng_position(rng):
+    # key array AND stream position: equal positions mean the runs made
+    # exactly the same draws.
+    state = rng.get_state()
+    return state[1].tolist(), state[2]
 
-        # Episode records: same modules, actions, rewards, sizes, epsilons.
-        assert len(serial_stats) == len(vec_stats) == episodes
-        for s, v in zip(serial_stats, vec_stats):
-            assert s.episode == v.episode
-            assert s.module == v.module
-            assert s.actions == v.actions
-            assert s.total_reward == v.total_reward
-            assert s.final_size == v.final_size
-            assert s.epsilon == v.epsilon
 
-        # Replay contents: byte-identical, in insertion order.
-        assert len(serial.agent.memory) == len(vec.agent.memory)
-        for i in range(len(serial.agent.memory)):
-            a, b = serial.agent.memory[i], vec.agent.memory[i]
-            assert np.array_equal(a.state, b.state)
-            assert np.array_equal(a.next_state, b.next_state)
-            assert (a.action, a.reward, a.done) == (b.action, b.reward, b.done)
-
-        # Learning: same number of updates, same final loss, identical
-        # online-network weights (the strongest loss-history statement:
-        # every intermediate loss fed the same Adam trajectory).
-        assert serial.agent.train_steps == vec.agent.train_steps > 0
-        assert serial.agent.last_loss == vec.agent.last_loss
-        for wa, wb in zip(
-            serial.agent.online.get_weights(), vec.agent.online.get_weights()
-        ):
-            assert np.array_equal(wa, wb)
-
-        # RNG end states (key array AND stream position): the vectorized
-        # loop made exactly the draws the serial loop made — no extra
-        # module samples, no extra ε draws.
-        for rng_a, rng_b in (
-            (serial._rng, vec._rng),
-            (serial.agent._rng, vec.agent._rng),
-            (serial.agent.memory._rng, vec.agent.memory._rng),
-        ):
-            state_a, state_b = rng_a.get_state(), rng_b.get_state()
-            assert np.array_equal(state_a[1], state_b[1])
-            assert state_a[2] == state_b[2]
-
-    def test_per_episode_loss_sequence_identical(self, corpus):
-        """The loss visible after each episode matches serial training."""
-
-        def capture(agent, into):
-            def cb(record):
-                into.append((record.total_reward, agent.agent.last_loss))
-            return cb
-
-        serial = _make_agent()
-        serial_seq = []
-        serial.train(corpus, episodes=4, callback=capture(serial, serial_seq))
-        vec = _make_agent()
-        vec_seq = []
-        vec.train_vectorized(
-            corpus, episodes=4, n_envs=1, callback=capture(vec, vec_seq)
+def _lane_snapshot(rl):
+    """PPO lane buffers at an episode boundary (before any flush)."""
+    return {
+        lane: (
+            np.array(buf.states), list(buf.actions), list(buf.rewards),
+            np.array(buf.next_states), list(buf.dones),
+            list(buf.logprobs), list(buf.values),
         )
-        assert serial_seq == vec_seq
+        for lane, buf in rl.agent._lanes.items()
+    }
+
+
+def _learner_state(rl):
+    """Everything a trained learner carries that the loop could perturb."""
+    agent = rl.agent
+    state = {
+        "steps": agent.steps,
+        "train_steps": agent.train_steps,
+        "last_loss": agent.last_loss,
+        "facade_rng": _rng_position(rl._rng),
+        "agent_rng": _rng_position(agent._rng),
+    }
+    if rl.algo == "ppo":
+        state["weights"] = agent.net.get_weights()
+        state["updates"] = agent.updates
+        state["last_stats"] = dict(agent.last_stats)
+        return state
+    memory = agent.memory
+    state["weights"] = agent.online.get_weights() + agent.target.get_weights()
+    state["memory_rng"] = _rng_position(memory._rng)
+    state["replay"] = [
+        (t.state, t.next_state, t.action, t.reward, t.done)
+        for t in (memory[i] for i in range(len(memory)))
+    ]
+    if rl.algo == "prioritized-ddqn":
+        state["priorities"] = memory.tree._tree.copy()
+    return state
+
+
+def _assert_same(a, b, path="state"):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_same(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{path}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+def _run(algo, corpus, episodes, mode):
+    """Train one fresh facade; returns (episode rows, lanes, learner)."""
+    rl = _make_agent(algo=algo)
+    lanes = []
+
+    def on_episode(record):
+        if algo == "ppo":
+            lanes.append(_lane_snapshot(rl))
+
+    if mode == "reference":
+        stats = reference_train(rl, corpus, episodes, callback=on_episode)
+    elif mode == "train":
+        stats = rl.train(corpus, episodes=episodes, callback=on_episode)
+    else:
+        stats = rl.train_vectorized(
+            corpus, episodes=episodes, n_envs=1, callback=on_episode
+        )
+    rows = [
+        (s.episode, s.module, s.actions, s.total_reward, s.final_size,
+         s.epsilon)
+        for s in stats
+    ]
+    return rows, lanes, _learner_state(rl)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+class TestSerialEquivalence:
+    def test_n_envs_1_is_trajectory_identical(self, corpus, algo):
+        episodes = 6
+        reference = _run(algo, corpus, episodes, "reference")
+        rows, lanes, learner = reference
+        assert len(rows) == episodes
+        assert learner["train_steps"] > 0
+        assert len(lanes) == (episodes if algo == "ppo" else 0)
+        for mode in ("train", "train_vectorized"):
+            _assert_same(reference, _run(algo, corpus, episodes, mode), mode)
+
+    def test_per_episode_loss_sequence_identical(self, corpus, algo):
+        """The loss visible after each episode matches the reference."""
+
+        def losses(mode):
+            rl = _make_agent(algo=algo)
+            seq = []
+
+            def cb(record):
+                seq.append((record.total_reward, rl.agent.last_loss))
+
+            if mode == "reference":
+                reference_train(rl, corpus, 4, callback=cb)
+            else:
+                rl.train(corpus, episodes=4, callback=cb)
+            return seq
+
+        assert losses("reference") == losses("train")
 
 
 class TestBatchedTraining:
@@ -119,24 +176,19 @@ class TestBatchedTraining:
         d = report.as_dict()
         assert d["episodes_per_second"] > 0
 
+    def test_train_reports_one_env(self, corpus):
+        agent = _make_agent()
+        stats = agent.train(corpus, episodes=2)
+        report = agent.last_train_throughput
+        assert report.n_envs == 1
+        assert report.episodes == len(stats) == 2
+        assert report.total_steps == 2 * EPISODE_LENGTH
+
     def test_history_extended(self, corpus):
         agent = _make_agent()
         agent.train_vectorized(corpus, total_steps=10, n_envs=2)
         agent.train_vectorized(corpus, total_steps=10, n_envs=2)
         assert len(agent.train_history) == 4
-
-    def test_worker_training_matches_in_process(self, corpus):
-        a = _make_agent()
-        sa = a.train_vectorized(corpus, total_steps=30, n_envs=3)
-        b = _make_agent()
-        sb = b.train_vectorized(corpus, total_steps=30, n_envs=3, workers=2)
-        assert [(s.module, s.actions, s.final_size) for s in sa] == [
-            (s.module, s.actions, s.final_size) for s in sb
-        ]
-        for wa, wb in zip(
-            a.agent.online.get_weights(), b.agent.online.get_weights()
-        ):
-            assert np.array_equal(wa, wb)
 
     def test_argument_validation(self, corpus):
         agent = _make_agent()
@@ -148,3 +200,5 @@ class TestBatchedTraining:
             agent.train_vectorized(corpus, total_steps=0)
         with pytest.raises(ValueError):
             agent.train_vectorized([], total_steps=10)
+        with pytest.raises(ValueError):
+            agent.train([], episodes=2)

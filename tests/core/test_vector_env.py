@@ -1,14 +1,10 @@
-"""VectorPhaseOrderingEnv: lockstep semantics, auto-reset, worker mode."""
+"""VectorPhaseOrderingEnv: lockstep semantics and lazy auto-reset."""
 
 import numpy as np
 import pytest
 
 from repro.core import MetricsEngine, PhaseOrderingEnv, make_action_space
-from repro.core.vector_env import (
-    EnvSpec,
-    EpisodeRecord,
-    VectorPhaseOrderingEnv,
-)
+from repro.core.vector_env import EpisodeRecord, VectorPhaseOrderingEnv
 from repro.workloads import ProgramProfile, generate_program
 
 EPISODE_LENGTH = 4
@@ -25,15 +21,7 @@ def corpus():
     ]
 
 
-def _make_vector(corpus, n_envs, seed=0, workers=0):
-    if workers:
-        return VectorPhaseOrderingEnv(
-            corpus,
-            n_envs,
-            rng=np.random.RandomState(seed),
-            workers=workers,
-            spec=EnvSpec(episode_length=EPISODE_LENGTH),
-        )
+def _make_vector(corpus, n_envs, seed=0):
     engine = MetricsEngine()
     space = make_action_space("odg")
 
@@ -171,41 +159,3 @@ class TestAutoReset:
         assert rec.actions == [2] * EPISODE_LENGTH
         assert rec.final_size > 0
         assert venv.pop_completed() == []  # drained
-
-
-class TestWorkerMode:
-    def test_worker_trajectories_match_in_process(self, corpus):
-        """Subprocess stepping is bit-identical to in-process stepping:
-        same modules sampled, same rewards, sizes and episode records."""
-        n, steps = 3, 2 * EPISODE_LENGTH
-        rng = np.random.RandomState(17)
-        actions = [[int(rng.randint(34)) for _ in range(n)] for _ in range(steps)]
-
-        def run(workers):
-            venv = _make_vector(corpus, n, seed=4, workers=workers)
-            try:
-                venv.reset()
-                rewards, sizes = [], []
-                for step_actions in actions:
-                    venv.observations
-                    _, r, _, infos = venv.step(step_actions)
-                    rewards.append(r.copy())
-                    sizes.append([info.bin_size for info in infos])
-                return rewards, sizes, venv.pop_completed()
-            finally:
-                venv.close()
-
-        serial_r, serial_s, serial_done = run(workers=0)
-        worker_r, worker_s, worker_done = run(workers=2)
-        for a, b in zip(serial_r, worker_r):
-            assert np.array_equal(a, b)
-        assert serial_s == worker_s
-        assert [(d.module, d.actions, d.final_size) for d in serial_done] == [
-            (d.module, d.actions, d.final_size) for d in worker_done
-        ]
-
-    def test_worker_close_idempotent(self, corpus):
-        venv = _make_vector(corpus, 2, workers=2)
-        venv.reset()
-        venv.close()
-        venv.close()  # second close is a no-op

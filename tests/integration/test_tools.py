@@ -1,4 +1,4 @@
-"""CLI tools: opt / sizeit / mca."""
+"""CLI tools: opt / sizeit / mca / serve / profile."""
 
 import io
 import sys
@@ -229,3 +229,22 @@ class TestServe:
         )
         assert rc == 0
         assert "(manual)" in out
+
+
+class TestProfile:
+    def test_training_harness_compare_serial(self, capsys):
+        from repro.tools import profile
+
+        rc, out, _ = run_tool(
+            profile,
+            ["--suite", "mibench", "--train", "20", "--steps", "5",
+             "--n-envs", "2", "--compare-serial"],
+            capsys,
+        )
+        assert rc == 0
+        lines = {line.split()[0]: line for line in out.splitlines() if line}
+        assert "mode=vectorized" in out and "n_envs=2" in out
+        for label in ("vectorized", "serial"):
+            assert "steps=20 " in lines[label]
+            assert "episodes=4 " in lines[label]
+        assert lines["speedup:"].endswith("(vectorized vs serial steps/sec)")
