@@ -145,7 +145,10 @@ def test_gateway_overload_bounded():
     gateway = ShardedGateway.from_agent(
         _fresh_agent(), 2,
         batch_window_s=0.002, include_ir=False, verify=False,
-        max_pending=max_pending,
+        # Coalesced duplicates bypass the in-flight window by design, so
+        # with 8 distinct programs the window would never fill: measure
+        # admission control alone.
+        max_pending=max_pending, coalesce=False,
     )
     with gateway:
         # Calibrate capacity closed-loop on fresh (cold) modules...

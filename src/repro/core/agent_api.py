@@ -180,12 +180,6 @@ class PosetRL:
         #: :meth:`predict`, consumed by :meth:`apply_actions`.
         self._last_rollout: Optional[Tuple[str, Tuple[int, ...], Module]] = None
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Facades ship to evaluation workers; modules do not pickle.
-        state = self.__dict__.copy()
-        state["_last_rollout"] = None
-        return state
-
     # -- environments --------------------------------------------------------
     def make_env(self, module: Module) -> PhaseOrderingEnv:
         return PhaseOrderingEnv(
@@ -496,21 +490,14 @@ class PosetRL:
         self,
         suite_name: str,
         modules: Sequence[Tuple[str, Module]],
-        max_workers: Optional[int] = None,
     ) -> SuiteSummary:
-        """Table IV / Table V style summary for one benchmark suite.
-
-        ``max_workers`` > 1 evaluates benchmarks in parallel worker
-        processes (the facade — agent weights included — is shipped to
-        each worker; cache contents are dropped in transit).
-        """
+        """Table IV / Table V style summary for one benchmark suite."""
         return evaluate_suite(
             suite_name,
             modules,
             predict=self.predict,
             apply_actions=self.apply_actions,
             target=self.target,
-            max_workers=max_workers,
         )
 
     # -- persistence -----------------------------------------------------------

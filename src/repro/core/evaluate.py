@@ -5,23 +5,17 @@ agent's predicted sub-sequence ordering, and compare object size and the
 MCA runtime proxy. Suite-level summaries report min/avg/max size
 reduction (Table IV) and average runtime improvement (Table V).
 
-:func:`evaluate_suite` optionally fans per-benchmark evaluation out across
-a process pool (``max_workers``): modules travel to workers as printed IR
-text (the value graph itself is not picklable), the predictor travels as a
-pickled callable.
+Evaluation runs in-process, one benchmark after another (docs/PERFORMANCE.md,
+"Suite evaluation runs in-process", has the measurements).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..codegen.objfile import object_size
 from ..ir.module import Module
-from ..ir.parser import parse_module
-from ..ir.printer import print_module
 from ..mca.sched import estimate_throughput
 from ..passes.pipelines import build_pipeline
 
@@ -125,63 +119,19 @@ def evaluate_benchmark(
     )
 
 
-def _evaluate_benchmark_text(
-    name: str,
-    module_text: str,
-    predict: Callable[[Module], Sequence[int]],
-    apply_actions: Callable[[Module, Sequence[int]], Module],
-    target: str,
-) -> BenchmarkResult:
-    """Worker-side entry: rebuild the module from text, then evaluate."""
-    module = parse_module(module_text)
-    return evaluate_benchmark(
-        name, module, predict=predict, apply_actions=apply_actions,
-        target=target,
-    )
-
-
-def default_worker_count() -> int:
-    """Default process-pool width: one worker per core, capped at 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
-
-
 def evaluate_suite(
     suite_name: str,
     modules: Sequence[Tuple[str, Module]],
     predict: Callable[[Module], Sequence[int]],
     apply_actions: Callable[[Module, Sequence[int]], Module],
     target: str = "x86-64",
-    max_workers: Optional[int] = None,
 ) -> SuiteSummary:
-    """Evaluate every benchmark in a suite against ``-Oz``.
-
-    ``max_workers`` > 1 fans benchmarks out over a process pool; ``None``
-    or ``0``/``1`` evaluates serially in-process. Results preserve the
-    input order either way, and parallel evaluation is exact: workers
-    receive the printed IR (a faithful structural round-trip) and run the
-    identical per-benchmark path.
-    """
-    if max_workers is not None and max_workers > 1 and len(modules) > 1:
-        workers = min(max_workers, len(modules))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _evaluate_benchmark_text,
-                    name,
-                    print_module(module),
-                    predict,
-                    apply_actions,
-                    target,
-                )
-                for name, module in modules
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            evaluate_benchmark(
-                name, module, predict=predict, apply_actions=apply_actions,
-                target=target,
-            )
-            for name, module in modules
-        ]
+    """Evaluate every benchmark in a suite against ``-Oz``, in input order."""
+    results = [
+        evaluate_benchmark(
+            name, module, predict=predict, apply_actions=apply_actions,
+            target=target,
+        )
+        for name, module in modules
+    ]
     return SuiteSummary(suite=suite_name, target=target, results=results)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -291,13 +291,3 @@ class MetricsEngine:
 
     def clear(self) -> None:
         self._init_caches()
-
-    # -- pickling ----------------------------------------------------------
-    # Engines ride along when a PosetRL facade is shipped to evaluation
-    # worker processes; cache contents (which include module snapshots that
-    # do not pickle) are dropped and rebuilt empty on the other side.
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"target": self.target, "threadsafe": self.threadsafe}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(state["target"], state["threadsafe"])

@@ -1,6 +1,7 @@
 """Asynchronous actor-learner training (Ape-X style, deterministic).
 
-Topology: ``n_actors`` child processes each step a one-slot
+Topology: the ``n_actors`` workers of one
+:class:`~repro.workers.WorkerPool` each step a one-slot
 :class:`~repro.core.vector_env.VectorPhaseOrderingEnv` over the
 training corpus (modules cross the pipe once, at spawn, as printed IR
 text — ``Module`` objects do not pickle) and roll out ε-greedy (DQN) or
@@ -17,7 +18,9 @@ and the learner ingests replies strictly in issue order. Actors
 therefore generate experience concurrently with learner ingestion and
 with each other, while the learner-side event sequence — and with it the
 trained weights — is a pure function of the seed. Two runs of the same
-configuration produce identical learner weights.
+configuration produce identical learner weights. An actor that dies
+mid-run makes the run raise (the pipe breaks) rather than hang; the pool
+is closed and a temporary snapshot directory removed on the way out.
 
 Serial equivalence: with ``actors=1``, ``chunk_size=1`` and
 ``broadcast_every=1`` (broadcast after every ingested transition) the
@@ -30,7 +33,6 @@ the same ``remember_batch`` path — the whole run is bit-identical to
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import shutil
 import tempfile
@@ -42,6 +44,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..observability import get_registry
+from ..workers import WorkerPool, serve
 from .schedule import LinearSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - the core package imports this one
@@ -174,7 +177,7 @@ class DistributedReport:
 
 
 def _actor_worker(conn, spec: ActorSpec) -> None:
-    """Child-process loop: act against the pinned snapshot on command.
+    """Child-process entry: act against the pinned snapshot on command.
 
     Protocol (request/response; the parent never has more than one
     outstanding request per actor):
@@ -233,161 +236,90 @@ def _actor_worker(conn, spec: ActorSpec) -> None:
     local_steps = 0
     episodes_done = 0
 
-    try:
-        while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "load":
-                _, path, version, global_steps = msg
-                net = (
-                    PolicyValueNetwork.load(path)
-                    if is_ppo
-                    else QNetwork.load(path)
-                )
-                eps_base = int(global_steps)
-                steps_since_load = 0
-                conn.send(("ok", version))
-            elif cmd == "rollout":
-                n = int(msg[1])
-                assert net is not None, "rollout before first weight load"
-                t0 = time.perf_counter()
-                states, acts, rewards = [], [], []
-                next_states, dones = [], []
-                logprobs: List[float] = []
-                values: List[float] = []
-                for _ in range(n):
-                    state = venv.observations[0]
-                    if is_ppo:
-                        logits, value = net.predict(state)
-                        logp = log_softmax(logits[None, :])[0]
-                        probs = np.exp(logp)
-                        u = explore_rng.random_sample()
-                        action = int(
-                            min(
-                                np.searchsorted(np.cumsum(probs), u),
-                                len(probs) - 1,
-                            )
-                        )
-                        logprobs.append(float(logp[action]))
-                        values.append(float(value))
-                    else:
-                        # Exactly the DQNAgent.act_batch stream: one
-                        # uniform draw, then a randint only when exploring.
-                        eps = schedule.value(eps_base + steps_since_load)
-                        if explore_rng.random_sample() < eps:
-                            action = int(
-                                explore_rng.randint(spec.num_actions)
-                            )
-                        else:
-                            action = int(np.argmax(net.predict(state)))
-                    next_row, reward_row, done_row, _ = venv.step([action])
-                    states.append(state)
-                    acts.append(action)
-                    rewards.append(reward_row[0])
-                    next_states.append(next_row[0])
-                    dones.append(done_row[0])
-                    steps_since_load += 1
-                    local_steps += 1
-                episodes = venv.pop_completed()
-                episodes_done += len(episodes)
-                conn.send(
-                    ActorChunk(
-                        states=np.stack(states),
-                        actions=np.asarray(acts, dtype=np.int64),
-                        rewards=np.asarray(rewards, dtype=np.float64),
-                        next_states=np.stack(next_states),
-                        dones=np.asarray(dones, dtype=bool),
-                        logprobs=(
-                            np.asarray(logprobs) if is_ppo else None
-                        ),
-                        values=np.asarray(values) if is_ppo else None,
-                        episodes=episodes,
-                        snapshot_version=version,
-                        wall_seconds=time.perf_counter() - t0,
-                    )
-                )
-            elif cmd == "drain":
-                conn.send(
-                    ActorFinalStats(
-                        actor_id=spec.actor_id,
-                        steps=local_steps,
-                        episodes=episodes_done,
-                        explore_rng_state=explore_rng.get_state(),
-                        sample_rng_state=sample_rng.get_state(),
-                        snapshot_version=version,
-                    )
-                )
-            elif cmd == "close":
-                return
-    except (EOFError, KeyboardInterrupt):  # parent died / interrupted
-        return
-    finally:
-        conn.close()
-
-
-class ActorPool:
-    """Owns the actor processes and their request/response pipes."""
-
-    def __init__(self, specs: Sequence[ActorSpec]):
-        ctx = mp.get_context()
-        self._conns = []
-        self._procs = []
-        for spec in specs:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_actor_worker, args=(child_conn, spec), daemon=True
+    def handle(msg, send):
+        nonlocal net, version, eps_base, steps_since_load
+        nonlocal local_steps, episodes_done
+        cmd = msg[0]
+        if cmd == "load":
+            _, path, version, global_steps = msg
+            net = (
+                PolicyValueNetwork.load(path)
+                if is_ppo
+                else QNetwork.load(path)
             )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        self.n_actors = len(specs)
-        self._closed = False
+            eps_base = int(global_steps)
+            steps_since_load = 0
+            send(("ok", version))
+        elif cmd == "rollout":
+            n = int(msg[1])
+            assert net is not None, "rollout before first weight load"
+            t0 = time.perf_counter()
+            states, acts, rewards = [], [], []
+            next_states, dones = [], []
+            logprobs: List[float] = []
+            values: List[float] = []
+            for _ in range(n):
+                state = venv.observations[0]
+                if is_ppo:
+                    logits, value = net.predict(state)
+                    logp = log_softmax(logits[None, :])[0]
+                    probs = np.exp(logp)
+                    u = explore_rng.random_sample()
+                    action = int(
+                        min(
+                            np.searchsorted(np.cumsum(probs), u),
+                            len(probs) - 1,
+                        )
+                    )
+                    logprobs.append(float(logp[action]))
+                    values.append(float(value))
+                else:
+                    # Exactly the DQNAgent.act_batch stream: one uniform
+                    # draw, then a randint only when exploring.
+                    eps = schedule.value(eps_base + steps_since_load)
+                    if explore_rng.random_sample() < eps:
+                        action = int(explore_rng.randint(spec.num_actions))
+                    else:
+                        action = int(np.argmax(net.predict(state)))
+                next_row, reward_row, done_row, _ = venv.step([action])
+                states.append(state)
+                acts.append(action)
+                rewards.append(reward_row[0])
+                next_states.append(next_row[0])
+                dones.append(done_row[0])
+                steps_since_load += 1
+                local_steps += 1
+            episodes = venv.pop_completed()
+            episodes_done += len(episodes)
+            send(
+                ActorChunk(
+                    states=np.stack(states),
+                    actions=np.asarray(acts, dtype=np.int64),
+                    rewards=np.asarray(rewards, dtype=np.float64),
+                    next_states=np.stack(next_states),
+                    dones=np.asarray(dones, dtype=bool),
+                    logprobs=np.asarray(logprobs) if is_ppo else None,
+                    values=np.asarray(values) if is_ppo else None,
+                    episodes=episodes,
+                    snapshot_version=version,
+                    wall_seconds=time.perf_counter() - t0,
+                )
+            )
+        elif cmd == "drain":
+            send(
+                ActorFinalStats(
+                    actor_id=spec.actor_id,
+                    steps=local_steps,
+                    episodes=episodes_done,
+                    explore_rng_state=explore_rng.get_state(),
+                    sample_rng_state=sample_rng.get_state(),
+                    snapshot_version=version,
+                )
+            )
+        elif cmd == "close":
+            return False
 
-    def send_load(self, actor: int, path: str, version: int,
-                  global_steps: int) -> None:
-        self._conns[actor].send(("load", path, version, global_steps))
-        reply = self._conns[actor].recv()
-        if reply != ("ok", version):  # pragma: no cover - protocol guard
-            raise RuntimeError(f"actor {actor} bad load ack: {reply!r}")
-
-    def request_rollout(self, actor: int, n: int) -> None:
-        self._conns[actor].send(("rollout", n))
-
-    def recv_chunk(self, actor: int) -> ActorChunk:
-        chunk = self._conns[actor].recv()
-        if not isinstance(chunk, ActorChunk):  # pragma: no cover
-            raise RuntimeError(f"actor {actor} bad chunk: {type(chunk)}")
-        return chunk
-
-    def drain(self) -> List[ActorFinalStats]:
-        stats = []
-        for conn in self._conns:
-            conn.send(("drain",))
-        for conn in self._conns:
-            stats.append(conn.recv())
-        return stats
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-                conn.close()
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-
-    def __enter__(self) -> "ActorPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    serve(conn, handle)
 
 
 class SnapshotBroadcaster:
@@ -400,7 +332,7 @@ class SnapshotBroadcaster:
     checkpoint format.
     """
 
-    def __init__(self, pool: ActorPool, save_fn, directory: str):
+    def __init__(self, pool: WorkerPool, save_fn, directory: str):
         self._pool = pool
         self._save = save_fn
         self._dir = directory
@@ -429,7 +361,11 @@ class SnapshotBroadcaster:
         """Ship current weights to one actor; returns wall latency."""
         t0 = time.perf_counter()
         self._ensure_snapshot(global_steps)
-        self._pool.send_load(actor, self._path, self.version, global_steps)
+        reply = self._pool.request(
+            actor, ("load", self._path, self.version, global_steps)
+        )
+        if reply != ("ok", self.version):  # pragma: no cover - protocol guard
+            raise RuntimeError(f"actor {actor} bad load ack: {reply!r}")
         latency = time.perf_counter() - t0
         self.broadcasts += 1
         self.latencies.append(latency)
@@ -489,26 +425,28 @@ def run_actor_learner(
     )
     train_updates_before = agent.train_steps
     start = time.perf_counter()
-    pool = ActorPool(specs)
+    pool = WorkerPool(_actor_worker, specs)
     try:
         caster = SnapshotBroadcaster(pool, save_fn, directory)
         # Initial broadcast: every actor pins the starting weights.
-        for actor in range(pool.n_actors):
+        for actor in range(len(pool)):
             caster.broadcast(actor, global_steps=0)
 
         ingested = 0
         issued = 0
-        chunks_since_broadcast = [0] * pool.n_actors
+        chunks_since_broadcast = [0] * len(pool)
         outstanding: deque = deque()
-        for actor in range(pool.n_actors):
+        for actor in range(len(pool)):
             if issued < total_steps:
-                pool.request_rollout(actor, chunk_size)
+                pool.send(actor, ("rollout", chunk_size))
                 outstanding.append(actor)
                 issued += chunk_size
 
         while outstanding:
             actor = outstanding.popleft()
-            chunk = pool.recv_chunk(actor)
+            chunk = pool.recv(actor)
+            if not isinstance(chunk, ActorChunk):  # pragma: no cover
+                raise RuntimeError(f"actor {actor} bad chunk: {type(chunk)}")
             n = len(chunk.actions)
             staleness = ingested - caster.steps_at(chunk.snapshot_version)
             report.staleness_steps.append(staleness)
@@ -558,11 +496,13 @@ def run_actor_learner(
                 caster.broadcast(actor, global_steps=ingested)
                 chunks_since_broadcast[actor] = 0
             if issued < total_steps:
-                pool.request_rollout(actor, chunk_size)
+                pool.send(actor, ("rollout", chunk_size))
                 outstanding.append(actor)
                 issued += chunk_size
 
-        finals = pool.drain()
+        for actor in range(len(pool)):
+            pool.send(actor, ("drain",))
+        finals = [pool.recv(actor) for actor in range(len(pool))]
         report.clean_drain = len(finals) == len(specs) and all(
             isinstance(f, ActorFinalStats) for f in finals
         )

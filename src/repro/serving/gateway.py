@@ -25,16 +25,16 @@ phase-ordering evaluation: N worker *processes*, each running a full
   An exact-text routing memo in front of the fingerprint means repeat
   requests (the common serving case) are routed without re-parsing.
 
-Workers are subprocesses reached over :mod:`multiprocessing` pipes —
-IR crosses as text, results come back as pickled
-:class:`~repro.serving.service.OptimizeResult`\\ s, the same crossing
-:func:`~repro.core.evaluate.evaluate_suite` and the distributed actors
-use. The gateway heartbeats
-every worker; a crashed or wedged worker is **restarted** and its
-in-flight requests are **failed over** to a sibling shard (a request
-that survives two worker losses resolves as ``rejected`` rather than
-hanging). :meth:`hot_reload` broadcasts a new model version to every
-shard atomically-per-worker, and :meth:`stop` drains: each worker stops
+Workers are the processes of one :class:`~repro.workers.WorkerPool` —
+IR crosses the pipe as text, results come back as pickled
+:class:`~repro.serving.service.OptimizeResult`\\ s, the same pool the
+distributed actors use. The pool owns spawn, kill and respawn; the
+gateway owns the policy around it: it heartbeats every worker; a
+crashed or wedged worker is **restarted** and its in-flight requests
+are **failed over** to a sibling shard (a request that survives two
+worker losses resolves as ``rejected`` rather than hanging).
+:meth:`hot_reload` broadcasts a new model version to every shard
+atomically-per-worker, and :meth:`stop` drains: each worker stops
 accepting, flushes its in-flight batches and reports final counters.
 
 Observability lands in the process-wide registry as ``repro_gateway_*``
@@ -47,7 +47,6 @@ metrics live in the worker processes; give each worker a
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import threading
 import time
@@ -60,6 +59,7 @@ from ..ir.fingerprint import module_fingerprint
 from ..ir.parser import parse_module
 from ..observability import get_registry
 from ..rl.network import QNetwork
+from ..workers import WorkerPool, serve
 from .cache import text_key
 from .registry import ModelRegistry
 from .service import OptimizationService, OptimizeRequest, OptimizeResult
@@ -221,7 +221,7 @@ def _register_in_worker(registry: ModelRegistry, payload: Dict[str, Any]) -> str
 
 
 def _shard_worker_main(conn, spec: ShardSpec) -> None:
-    """Worker-process loop: a full ``OptimizationService`` behind a pipe.
+    """Worker-process entry: a full ``OptimizationService`` behind a pipe.
 
     Parent → worker messages (tuples):
 
@@ -244,27 +244,6 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:
 
     service = _build_worker_service(spec)
     service.start()
-    send_lock = threading.Lock()
-
-    def send(msg: Tuple) -> None:
-        with send_lock:
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError):  # parent died
-                pass
-
-    def completion(req_id: int):
-        def callback(future: "Future[OptimizeResult]") -> None:
-            try:
-                result = future.result()
-            except Exception as exc:  # pragma: no cover - defensive
-                result = OptimizeResult(
-                    name="<module>", status="rejected",
-                    reason=f"worker_error: {exc}",
-                )
-            send(("result", req_id, result))
-
-        return callback
 
     def export_metrics() -> None:
         if spec.metrics_out:
@@ -273,48 +252,52 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:
             except OSError:  # pragma: no cover - disk trouble
                 pass
 
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):  # parent died
-                return
-            cmd = msg[0]
-            if cmd == "submit":
-                _, req_id, name, ir_text = msg
+    def handle(msg: Tuple, send) -> Optional[bool]:
+        cmd = msg[0]
+        if cmd == "submit":
+            _, req_id, name, ir_text = msg
+
+            def completion(future: "Future[OptimizeResult]") -> None:
                 try:
-                    future = service.submit(ir_text, name=name)
-                except Exception as exc:
-                    send(("result", req_id, OptimizeResult(
-                        name=name, status="rejected",
+                    result = future.result()
+                except Exception as exc:  # pragma: no cover - defensive
+                    result = OptimizeResult(
+                        name="<module>", status="rejected",
                         reason=f"worker_error: {exc}",
-                    )))
-                else:
-                    future.add_done_callback(completion(req_id))
-            elif cmd == "ping":
-                with service._memo_lock:
-                    counters = dict(service.counters)
-                send(("pong", msg[1], counters))
-            elif cmd == "register":
-                try:
-                    version = _register_in_worker(service.registry, msg[1])
-                except Exception as exc:
-                    send(("registered", None, str(exc)))
-                else:
-                    send(("registered", version, None))
-            elif cmd == "drain":
-                final = service.drain()
-                export_metrics()
-                send(("drained", final))
-                return
-            elif cmd == "close":
-                service.drain(timeout=5.0)
-                export_metrics()
-                return
-    except KeyboardInterrupt:  # pragma: no cover - interrupted run
-        return
-    finally:
-        conn.close()
+                    )
+                send(("result", req_id, result))
+
+            try:
+                future = service.submit(ir_text, name=name)
+            except Exception as exc:
+                send(("result", req_id, OptimizeResult(
+                    name=name, status="rejected",
+                    reason=f"worker_error: {exc}",
+                )))
+            else:
+                future.add_done_callback(completion)
+        elif cmd == "ping":
+            with service._memo_lock:
+                counters = dict(service.counters)
+            send(("pong", msg[1], counters))
+        elif cmd == "register":
+            try:
+                version = _register_in_worker(service.registry, msg[1])
+            except Exception as exc:
+                send(("registered", None, str(exc)))
+            else:
+                send(("registered", version, None))
+        elif cmd == "drain":
+            final = service.drain()
+            export_metrics()
+            send(("drained", final))
+            return False
+        elif cmd == "close":
+            service.drain(timeout=5.0)
+            export_metrics()
+            return False
+
+    serve(conn, handle)
 
 
 class _Pending:
@@ -343,20 +326,15 @@ class _Pending:
 
 
 class _ShardHandle:
-    """Parent-side state for one worker process."""
+    """Parent-side policy state for one worker (the pool owns the process)."""
 
     __slots__ = (
-        "index", "proc", "conn", "send_lock", "receiver", "last_pong",
-        "ping_seq", "worker_counters", "draining", "dead", "drained",
-        "final_counters", "restarts",
+        "index", "last_pong", "ping_seq", "worker_counters", "draining",
+        "dead", "drained", "final_counters", "restarts",
     )
 
     def __init__(self, index: int):
         self.index = index
-        self.proc = None
-        self.conn = None
-        self.send_lock = threading.Lock()
-        self.receiver: Optional[threading.Thread] = None
         self.last_pong = time.monotonic()
         self.ping_seq = 0
         self.worker_counters: Dict[str, int] = {}
@@ -495,7 +473,7 @@ class ShardedGateway:
         #: outstanding-future counts must stay inside the window.
         self.coalesce = coalesce
 
-        self._ctx = mp.get_context()
+        self._pool: Optional[WorkerPool] = None
         self._lock = threading.Lock()
         self._handles: List[_ShardHandle] = [
             _ShardHandle(i) for i in range(n_shards)
@@ -609,8 +587,12 @@ class ShardedGateway:
             if self._started:
                 return self
             self._started = True
+        self._pool = WorkerPool(
+            _shard_worker_main,
+            [self._spec_for(i) for i in range(self.n_shards)],
+        )
         for handle in self._handles:
-            self._spawn_worker(handle)
+            self._start_receiver(handle)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-gateway-monitor",
             daemon=True,
@@ -634,26 +616,16 @@ class ShardedGateway:
             )
         return spec
 
-    def _spawn_worker(self, handle: _ShardHandle) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, self._spec_for(handle.index)),
-            daemon=True,
-            name=f"repro-shard-{handle.index}",
-        )
-        proc.start()
-        child_conn.close()
-        handle.proc = proc
-        handle.conn = parent_conn
+    def _start_receiver(self, handle: _ShardHandle) -> None:
+        """Listen to the worker's current process generation."""
+        i = handle.index
         handle.dead = False
         handle.last_pong = time.monotonic()
-        receiver = threading.Thread(
-            target=self._receiver_loop, args=(handle, proc),
-            name=f"repro-gateway-recv-{handle.index}", daemon=True,
-        )
-        handle.receiver = receiver
-        receiver.start()
+        threading.Thread(
+            target=self._receiver_loop,
+            args=(handle, self._pool.process(i), self._pool.conn(i)),
+            name=f"repro-gateway-recv-{i}", daemon=True,
+        ).start()
 
     def stop(self, timeout: float = 30.0) -> Dict[int, Dict[str, Any]]:
         """Graceful drain: flush every shard, return per-shard counters.
@@ -673,16 +645,14 @@ class ShardedGateway:
         self._monitor_stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
-        for handle in handles:
-            handle.draining = True
-            self._send(handle, ("drain",))
-        deadline = time.monotonic() + timeout
-        for handle in handles:
-            handle.drained.wait(max(0.0, deadline - time.monotonic()))
-            if handle.proc is not None:
-                handle.proc.join(timeout=max(0.1, deadline - time.monotonic()))
-                if handle.proc.is_alive():  # pragma: no cover - defensive
-                    handle.proc.terminate()
+        if self._pool is not None:
+            for handle in handles:
+                handle.draining = True
+                self._send(handle, ("drain",))
+            deadline = time.monotonic() + timeout
+            for handle in handles:
+                handle.drained.wait(max(0.0, deadline - time.monotonic()))
+            self._pool.close(max(0.1, deadline - time.monotonic()))
         # Fail anything still unresolved (e.g. a worker died mid-drain).
         with self._lock:
             leftovers = list(self._pending.values())
@@ -881,15 +851,13 @@ class ShardedGateway:
 
     def _send(self, handle: _ShardHandle, msg: Tuple) -> None:
         try:
-            with handle.send_lock:
-                handle.conn.send(msg)
+            self._pool.send(handle.index, msg)
         except (BrokenPipeError, OSError, ValueError):
             # The receiver/monitor will notice the death and fail over
             # anything pending, including what we just tried to send.
             self._on_worker_death(handle)
 
-    def _receiver_loop(self, handle: _ShardHandle, proc) -> None:
-        conn = handle.conn
+    def _receiver_loop(self, handle: _ShardHandle, proc, conn) -> None:
         while True:
             try:
                 msg = conn.recv()
@@ -1001,15 +969,14 @@ class ShardedGateway:
             for handle in self._handles:
                 if handle.dead or handle.draining:
                     continue
-                proc = handle.proc
-                if proc is not None and not proc.is_alive():
+                proc = self._pool.process(handle.index)
+                if not proc.is_alive():
                     self._on_worker_death(handle, proc=proc)
                     continue
                 if now - handle.last_pong > self.heartbeat_timeout_s:
-                    # Wedged (alive but unresponsive): kill, then the
-                    # standard death path restarts it.
-                    if proc is not None:
-                        proc.kill()
+                    # Wedged (alive but unresponsive): kill this
+                    # generation, then the standard death path restarts it.
+                    proc.kill()
                     self._on_worker_death(handle, proc=proc)
                     continue
                 handle.ping_seq += 1
@@ -1026,7 +993,7 @@ class ShardedGateway:
         with self._lock:
             if self._closed or handle.draining:
                 return
-            if proc is not None and proc is not handle.proc:
+            if proc is not None and proc is not self._pool.process(handle.index):
                 return  # stale: a newer generation is already running
             if handle.dead:
                 return
@@ -1039,23 +1006,15 @@ class ShardedGateway:
                 self._drop_coalesce(p)
             self._publish_depth()
 
-        if handle.proc is not None:
-            try:
-                handle.proc.kill()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-        restart = handle.restarts < self.max_restarts_per_shard
-        if restart:
+        if handle.restarts < self.max_restarts_per_shard:
             handle.restarts += 1
             self._count("worker_restarts")
             if self._observe:
                 self._instruments.restarts.inc()
-            self._spawn_worker(handle)
+            self._pool.respawn(handle.index)
+            self._start_receiver(handle)
+        else:
+            self._pool.kill(handle.index)
 
         # Fail over the orphans to the next shard (the restarted worker
         # itself when n_shards == 1 — its caches are cold but it lives).
@@ -1103,7 +1062,9 @@ class ShardedGateway:
                 h.index: {
                     "counters": dict(h.worker_counters),
                     "restarts": h.restarts,
-                    "alive": bool(h.proc is not None and h.proc.is_alive()),
+                    "alive": (
+                        self._pool is not None and self._pool.alive(h.index)
+                    ),
                 }
                 for h in self._handles
             }

@@ -11,3 +11,13 @@
 * ``python -m repro.tools.serve``  — load harness for the batched
   optimization service: throughput, p50/p95/p99 latency, guard counters.
 """
+
+import sys
+
+
+def read_input(path: str) -> str:
+    """Text of the IR input argument: ``-`` reads stdin, else the file."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()

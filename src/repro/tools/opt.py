@@ -20,6 +20,7 @@ from ..ir.printer import print_module
 from ..ir.verifier import verify_module
 from ..passes.base import PassManager, available_passes, parse_pass_list
 from ..passes.pipelines import OPT_LEVELS, build_pipeline
+from . import read_input
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -109,11 +110,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         parser.error("an input file is required")
     if args.agent and (args.passes or args.level):
         parser.error("--agent is mutually exclusive with --passes / -O levels")
-    text = (
-        sys.stdin.read()
-        if args.input == "-"
-        else open(args.input).read()
-    )
+    text = read_input(args.input)
 
     if args.agent:
         return _run_agent(args, text)

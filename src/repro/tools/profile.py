@@ -45,6 +45,7 @@ from ..core.environment import PhaseOrderingEnv, make_action_space
 from ..core.metrics import MetricsEngine
 from ..ir.parser import parse_module
 from ..workloads.suites import load_suite
+from . import read_input
 
 
 class _StageClock:
@@ -260,7 +261,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             corpus = list(suite_corpus)
         module = corpus[0][1]
     elif args.input:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        text = read_input(args.input)
         module = parse_module(text)
         corpus = [(args.input, module)]
     else:

@@ -10,13 +10,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
 from ..codegen.objfile import object_size
 from ..codegen.target import TARGETS
 from ..ir.parser import parse_module
 from ..passes.pipelines import OPT_LEVELS, build_pipeline
+from . import read_input
 
 
 def run(argv: Optional[List[str]] = None) -> int:
@@ -32,7 +32,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("input", help="textual IR file (- for stdin)")
     args = parser.parse_args(argv)
 
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    text = read_input(args.input)
     module = parse_module(text)
     if args.level:
         build_pipeline(args.level).run(module)

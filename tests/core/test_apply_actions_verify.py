@@ -1,8 +1,6 @@
 """PosetRL.apply_actions verifies its result and names the bad action;
 reusing predict's rollout matches replaying the actions."""
 
-import pickle
-
 import pytest
 
 from repro import PosetRL
@@ -201,15 +199,3 @@ def test_pass_sabotaged_during_predict_is_named(monkeypatch):
     message = str(excinfo.value)
     assert f"action 0 (id {actions[0]}" in message
     assert "invalid IR" in message
-
-
-def test_pickled_facade_carries_no_kept_rollout(monkeypatch):
-    module = _fuzz_module(3)
-    agent = PosetRL(seed=0)
-    actions = agent.predict(module)
-    shipped = pickle.loads(pickle.dumps(agent))
-    assert shipped._last_rollout is None
-    calls = _count_pass_runs(shipped, monkeypatch)
-    result = shipped.apply_actions(module, actions)
-    assert calls == actions
-    _same_result(result, agent.apply_actions(module, actions), "x86-64")

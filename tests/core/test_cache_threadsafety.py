@@ -82,13 +82,6 @@ class TestThreadsafeEngine:
         engine = MetricsEngine()
         assert engine.functions._lock is None
 
-    def test_threadsafe_survives_pickling(self):
-        import pickle
-
-        engine = MetricsEngine(threadsafe=True)
-        clone = pickle.loads(pickle.dumps(engine))
-        assert clone.functions._lock is not None
-
     def test_concurrent_measure_is_consistent(self):
         engine = MetricsEngine(threadsafe=True)
         modules = [

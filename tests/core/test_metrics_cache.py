@@ -279,15 +279,3 @@ class TestEngineLifecycle:
         assert stats["flat"]["row_rebuilds"] > 0
         for alias in ("size", "mca", "embedding"):
             assert stats[alias] == stats["functions"]
-
-    def test_pickling_drops_cache_contents(self, module):
-        import pickle
-
-        agent = PosetRL(seed=0)
-        env = agent.make_env(module)
-        env.rollout([0, 1, 2, 3])
-        assert len(agent.metrics.transitions) > 0
-        restored = pickle.loads(pickle.dumps(agent))
-        assert restored.metrics.target == agent.metrics.target
-        assert len(restored.metrics.transitions) == 0
-        assert len(restored.metrics.functions) == 0

@@ -2,6 +2,7 @@
 
 import io
 import sys
+import warnings
 
 import pytest
 
@@ -83,6 +84,14 @@ class TestSizeit:
         assert rc == 0
         assert "total" in out
         assert "x86-64" in out
+
+    def test_closes_input_file(self, demo_file, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert sizeit.run([demo_file]) == 0
+        capsys.readouterr()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_per_function_and_target(self, demo_file, capsys):
         rc, out, _ = run_tool(

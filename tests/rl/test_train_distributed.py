@@ -10,6 +10,9 @@ deterministic (round-robin issue, in-order ingest), so a fixed seed
 yields identical learner weights across independent cross-process runs.
 """
 
+import multiprocessing as mp
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,35 @@ class TestCrossRunDeterminism:
         rl.train_distributed(corpus, episodes=6, actors=2)
         assert rl.agent.train_steps > 0  # flush covers sub-horizon runs
         assert rl.last_distributed_report.clean_drain
+
+
+class TestActorDeath:
+    def test_killed_actor_raises_and_cleans_up(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """An actor killed mid-run makes ``train_distributed`` raise (no
+        hang), leaves no child process and removes the temporary
+        snapshot directory."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        before = set(mp.active_children())
+        killed = []
+
+        def kill_one_actor(_stats):
+            if not killed:
+                victim = next(
+                    p for p in mp.active_children() if p not in before
+                )
+                victim.kill()
+                victim.join(timeout=10)
+                killed.append(victim)
+
+        rl = _make_agent(seed=17)
+        with pytest.raises((EOFError, OSError)):
+            rl.train_distributed(corpus, episodes=40, actors=2,
+                                 callback=kill_one_actor)
+        assert killed
+        assert [p for p in mp.active_children() if p not in before] == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBudgetAndValidation:

@@ -175,7 +175,7 @@ class TestFailover:
             with gw:
                 # A slow, never-seen module pinned to shard 0.
                 text = fresh_text_for_shard(gw, 0, segments=8)
-                victim = gw._handles[0].proc
+                victim = gw._pool.process(0)
                 future = gw.submit(text, name="inflight")
                 time.sleep(0.02)  # let the worker start computing
                 victim.kill()
@@ -208,7 +208,7 @@ class TestFailover:
         ) as gw:
             first = gw.optimize(fresh_text_for_shard(gw, 0, seed0=1200))
             assert first.status == "ok"
-            gw._handles[0].proc.kill()
+            gw._pool.process(0).kill()
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 if gw.stats().counters["worker_restarts"] >= 1:
