@@ -1,6 +1,7 @@
 """Throughput microbenchmarks for the substrate itself (pytest-benchmark
 proper): how fast are the pieces the RL loop leans on — cloning, the Oz
-pipeline, embeddings, size/MCA measurement, one environment step — plus a
+pipeline, embeddings, size/MCA measurement, one environment step, one
+learner update (``benchmarks/results/perf_learner_update.json``) — plus a
 batched-vs-serial training-throughput comparison for the vectorized
 trainer (``benchmarks/results/perf_train_vectorized.json``) and a
 batched-serving-vs-serial-predict comparison for the optimization
@@ -8,6 +9,8 @@ service (``benchmarks/results/perf_serving.json``)."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import gc
 import os
 import time
@@ -20,6 +23,7 @@ from conftest import save_results
 from repro import PosetRL
 from repro.codegen import object_size
 from repro.core import MetricsEngine, PhaseOrderingEnv
+from repro.core.presets import scaled_config
 from repro.embeddings import program_embedding
 from repro.mca import estimate_throughput
 from repro.passes import build_pipeline
@@ -63,6 +67,89 @@ def test_env_step_throughput(benchmark, module):
         env.step(23)
 
     benchmark(step)
+
+
+# -- learner update ------------------------------------------------------------
+
+#: (get, set) thread-count entry points of the OpenBLAS builds numpy ships.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread.
+
+    numpy is already imported, so ``OPENBLAS_NUM_THREADS`` no longer
+    applies; this calls the loaded library's own setter (what
+    threadpoolctl does) and restores the old count afterwards. Yields
+    the thread count in force: 1, or ``None`` where no OpenBLAS library
+    is found and threading is left as it was.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted(
+                {line.split()[-1] for line in fh if "openblas" in line.lower()}
+            )
+    except OSError:
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_threads = getattr(lib, get_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads = getattr(lib, set_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                previous = get_threads()
+                set_threads(1)
+                try:
+                    yield 1
+                finally:
+                    set_threads(previous)
+                return
+    yield None
+
+
+def test_learner_update_throughput(benchmark):
+    """Wall time of one learner update: ``DoubleDQNAgent._train_step``
+    with ``scaled_config`` (300-256-128-34 network, 128-row batch) on a
+    full replay memory, on one BLAS thread. One update samples the
+    batch, runs the stacked online forward of states and next states and
+    the target forward, then backward and Adam. Reported as absolute
+    time per update (``benchmarks/results/perf_learner_update.json``);
+    nothing is compared against a slower path."""
+    config = scaled_config()
+    agent = DoubleDQNAgent(config)
+    rng = np.random.RandomState(0)
+    n = config.replay_capacity
+    agent.memory.push_batch(
+        rng.standard_normal((n, config.state_dim)).astype(np.float32),
+        rng.randint(config.num_actions, size=n),
+        rng.standard_normal(n),
+        rng.standard_normal((n, config.state_dim)).astype(np.float32),
+        rng.random_sample(n) < 0.1,
+    )
+    with _one_blas_thread() as blas_threads:
+        benchmark.pedantic(
+            agent._train_step, rounds=300, iterations=1, warmup_rounds=30
+        )
+    assert agent.train_steps > 0
+    if benchmark.stats is not None:
+        stats = benchmark.stats.stats
+        payload = {
+            "cpu_count": os.cpu_count(),
+            "blas_threads": blas_threads,
+            "updates": stats.rounds,
+            "median_ms_per_update": round(1e3 * stats.median, 3),
+            "iqr_ms": round(1e3 * stats.iqr, 3),
+            "min_ms_per_update": round(1e3 * stats.min, 3),
+        }
+        save_results("perf_learner_update", payload)
+        print(f"\nlearner update: {payload}")
 
 
 # -- vectorized training -----------------------------------------------------

@@ -100,9 +100,11 @@ class VectorPhaseOrderingEnv:
             self._slot_envs[slot] = env
             state = env.reset()
             if self._obs is None:
+                # The env's own state dtype (float32 embeddings), which
+                # is also the learner's: no cast on the way to the network.
+                state = np.asarray(state)
                 self._obs = np.zeros(
-                    (self.n_envs, np.asarray(state).shape[-1]),
-                    dtype=np.float64,
+                    (self.n_envs, state.shape[-1]), dtype=state.dtype
                 )
             self._obs[slot] = state
 

@@ -144,7 +144,7 @@ class EvaluationGate:
         state = env.reset()
         actions: List[int] = []
         for _ in range(self.episode_length):
-            q = network.predict(np.atleast_2d(np.asarray(state, dtype=np.float64)))
+            q = network.predict(np.atleast_2d(state))
             action = int(q.argmax(axis=1)[0])
             actions.append(action)
             state, _, done, _ = env.step(action)

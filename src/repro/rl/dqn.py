@@ -102,7 +102,7 @@ class DQNAgent:
         ``randint`` only when exploring — so the RNG stream depends only
         on the number of rows acted on, not on how they were batched.
         """
-        states = np.asarray(states, dtype=np.float64)
+        states = np.asarray(states)
         if states.ndim != 2:
             raise ValueError(f"expected (n, state_dim) batch, got {states.shape}")
         n = states.shape[0]
@@ -193,7 +193,12 @@ class DQNAgent:
             if self.steps % c.target_sync_every == 0:
                 self.target.copy_from(self.online)
 
-    def _next_q(self, next_states: np.ndarray) -> np.ndarray:
+    def _next_q(
+        self, next_states: np.ndarray, online_q: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Bootstrap value of each next state: the target network's best
+        Q. (``online_q``, the online network's Q-values of the same rows,
+        is what Double DQN selects with; plain DQN ignores it.)"""
         target_q = self.target.predict(next_states)
         return target_q.max(axis=1)
 
@@ -206,27 +211,30 @@ class DQNAgent:
 
     def _train_step(self) -> float:
         c = self.config
-        if isinstance(self.memory, PrioritizedReplayMemory):
+        prioritized = isinstance(self.memory, PrioritizedReplayMemory)
+        weights = None
+        if prioritized:
             batch, indices, weights = self.memory.sample_prioritized(
                 c.batch_size, beta=self.priority_beta
             )
-            states, actions, rewards, next_states, dones = batch
-            next_value = self._next_q(next_states)
-            targets = rewards + c.gamma * next_value * (~dones)
-            self.train_steps += 1
-            loss, td_errors = self.online.train_batch(
-                states, actions, targets,
-                sample_weights=weights, return_td_errors=True,
-            )
-            self.memory.update_priorities(indices, np.abs(td_errors))
         else:
-            states, actions, rewards, next_states, dones = self.memory.sample(
-                c.batch_size
-            )
-            next_value = self._next_q(next_states)
-            targets = rewards + c.gamma * next_value * (~dones)
-            self.train_steps += 1
-            loss = self.online.train_batch(states, actions, targets)
+            batch = self.memory.sample(c.batch_size)
+        states, actions, rewards, next_states, dones = batch
+
+        def targets(online_next_q: Optional[np.ndarray] = None) -> np.ndarray:
+            next_value = self._next_q(next_states, online_next_q)
+            return rewards + c.gamma * next_value * (~dones)
+
+        self.train_steps += 1
+        # Double DQN selects the next action with the online network, so
+        # its next-state rows join the update's own forward.
+        loss, td_errors = self.online.train_batch(
+            states, actions, targets if self.double else targets(),
+            sample_weights=weights, return_td_errors=True,
+            next_states=next_states if self.double else None,
+        )
+        if prioritized:
+            self.memory.update_priorities(indices, np.abs(td_errors))
         registry = get_registry()
         if registry.enabled:
             registry.counter(
@@ -294,8 +302,11 @@ class DoubleDQNAgent(DQNAgent):
 
     double = True
 
-    def _next_q(self, next_states: np.ndarray) -> np.ndarray:
-        online_q = self.online.predict(next_states)
+    def _next_q(
+        self, next_states: np.ndarray, online_q: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if online_q is None:
+            online_q = self.online.predict(next_states)
         best = online_q.argmax(axis=1)
         target_q = self.target.predict(next_states)
         return target_q[np.arange(len(best)), best]

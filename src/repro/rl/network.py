@@ -5,44 +5,59 @@ Architecture: configurable hidden layers with ReLU, linear output head
 selected action's Q-value — the standard DQN regression setup. Weights
 can be copied wholesale (online → target network synchronization) and
 serialized to ``.npz`` for checkpointing.
+
+Float32 is the one compute dtype: weights, biases and Adam moments are
+float32, and every entry point casts its inputs once to the weights'
+dtype (the state embeddings and replay memory are float32 already, so
+for them the cast is free). Checkpoints written in float64 are cast on
+load.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 
 class DenseLayer:
-    """One affine layer with optional ReLU."""
+    """One float32 affine layer with optional ReLU."""
 
     def __init__(self, rng: np.random.RandomState, fan_in: int, fan_out: int,
                  relu: bool):
         scale = np.sqrt(2.0 / fan_in)
-        self.weight = rng.standard_normal((fan_in, fan_out)) * scale
-        self.bias = np.zeros(fan_out)
+        self.weight = (rng.standard_normal((fan_in, fan_out)) * scale).astype(
+            np.float32
+        )
+        self.bias = np.zeros(fan_out, dtype=np.float32)
         self.relu = relu
-        # Adam state
+        # Adam state, plus one work buffer per parameter so a step
+        # allocates nothing.
         self.m_w = np.zeros_like(self.weight)
         self.v_w = np.zeros_like(self.weight)
         self.m_b = np.zeros_like(self.bias)
         self.v_b = np.zeros_like(self.bias)
+        self.work_w = np.zeros_like(self.weight)
+        self.work_b = np.zeros_like(self.bias)
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        pre = x @ self.weight + self.bias
+        pre = x @ self.weight
+        pre += self.bias
         out = np.maximum(pre, 0.0) if self.relu else pre
         return pre, out
 
     def backward(
-        self, x: np.ndarray, pre: np.ndarray, grad_out: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, x: np.ndarray, pre: np.ndarray, grad_out: np.ndarray,
+        input_grad: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """``(grad_x, grad_w, grad_b)``; ``grad_x`` is ``None`` without
+        ``input_grad`` — nothing reads the first layer's input gradient."""
         if self.relu:
             grad_out = grad_out * (pre > 0.0)
         grad_w = x.T @ grad_out
         grad_b = grad_out.sum(axis=0)
-        grad_x = grad_out @ self.weight.T
+        grad_x = grad_out @ self.weight.T if input_grad else None
         return grad_x, grad_w, grad_b
 
 
@@ -51,22 +66,33 @@ def adam_step(
     learning_rate: float,
     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
 ) -> None:
-    """One Adam update of a layer's weight/bias from their gradients.
+    """One in-place Adam update of a layer's weight/bias from their gradients.
 
     Shared by :class:`QNetwork` and the PPO policy/value network — the
-    optimizer state lives on the layer, the timestep on the caller.
+    optimizer state lives on the layer, the timestep on the caller. The
+    bias corrections fold into two scalars, and every array operation
+    writes into the moments, the parameter or the layer's work buffer.
     """
-    for grad, m, v, param in (
-        (grad_w, layer.m_w, layer.v_w, layer.weight),
-        (grad_b, layer.m_b, layer.v_b, layer.bias),
+    step = learning_rate / (1 - beta1**t)
+    v_scale = 1.0 / (1 - beta2**t)
+    for grad, m, v, param, buf in (
+        (grad_w, layer.m_w, layer.v_w, layer.weight, layer.work_w),
+        (grad_b, layer.m_b, layer.v_b, layer.bias, layer.work_b),
     ):
         m *= beta1
-        m += (1 - beta1) * grad
+        np.multiply(grad, 1 - beta1, out=buf)
+        m += buf
         v *= beta2
-        v += (1 - beta2) * grad**2
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        param -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(grad, grad, out=buf)
+        buf *= 1 - beta2
+        v += buf
+        # param -= step * m / (sqrt(v * v_scale) + eps)
+        np.multiply(v, v_scale, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        np.divide(m, buf, out=buf)
+        buf *= step
+        param -= buf
 
 
 class QNetwork:
@@ -91,15 +117,19 @@ class QNetwork:
         ]
         self._adam_t = 0
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: inputs are cast to it once, on entry."""
+        return self.layers[0].weight.dtype
+
     # -- inference ----------------------------------------------------------
     def predict(self, states: np.ndarray) -> np.ndarray:
-        """Q-values for a batch (or single) state.
+        """Q-values (in :attr:`dtype`) for a batch (or single) state.
 
-        ``np.asarray`` keeps already-float64 inputs as views — the act
-        path hands states straight from the environment every step, so
-        the cast must be a no-op for them.
+        The one cast to :attr:`dtype` is a no-op for the float32 states
+        the environment and the replay memory hand over every step.
         """
-        x = np.asarray(states, dtype=np.float64)
+        x = np.asarray(states, dtype=self.dtype)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[np.newaxis, :]
@@ -112,10 +142,11 @@ class QNetwork:
         self,
         states: np.ndarray,
         actions: np.ndarray,
-        targets: np.ndarray,
+        targets: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
         huber_delta: float = 1.0,
         sample_weights: Optional[np.ndarray] = None,
         return_td_errors: bool = False,
+        next_states: Optional[np.ndarray] = None,
     ) -> Any:
         """One Adam step fitting Q(s, a) toward ``targets``; returns loss.
 
@@ -124,9 +155,19 @@ class QNetwork:
         ``return_td_errors`` the per-row signed TD errors (pre-clip,
         pre-weight) come back alongside the loss so the caller can feed
         new priorities to the buffer.
+
+        With ``next_states`` (Double DQN), ``targets`` is a function from
+        this network's Q-values of ``next_states`` to the targets. Those
+        rows ride in one stacked forward with ``states``, so the online
+        network runs one GEMM chain per update; backward reads only the
+        ``states`` half of the activations.
         """
-        x = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        x = np.atleast_2d(np.asarray(states, dtype=self.dtype))
         batch = x.shape[0]
+        if next_states is not None:
+            x = np.concatenate(
+                (x, np.atleast_2d(np.asarray(next_states, dtype=self.dtype)))
+            )
         activations: List[np.ndarray] = [x]
         pres: List[np.ndarray] = []
         h = x
@@ -134,36 +175,40 @@ class QNetwork:
             pre, h = layer.forward(h)
             pres.append(pre)
             activations.append(h)
+        if next_states is not None:
+            targets = targets(h[batch:])
+            activations = [a[:batch] for a in activations]
+            pres = [p[:batch] for p in pres]
         q = activations[-1]
+        targets = np.asarray(targets, dtype=self.dtype)
 
-        picked = q[np.arange(batch), actions]
-        error = picked - targets
-        row_weights = (
-            np.ones(batch)
-            if sample_weights is None
-            else np.asarray(sample_weights, dtype=np.float64).ravel()
+        rows = np.arange(batch)
+        error = q[rows, actions] - targets
+        # Huber loss and its gradient (the clipped error).
+        grad_picked = np.clip(error, -huber_delta, huber_delta)
+        abs_error = np.abs(error)
+        huber = np.where(
+            abs_error <= huber_delta,
+            0.5 * error**2,
+            huber_delta * (abs_error - 0.5 * huber_delta),
         )
-        # Huber loss gradient (clipped error).
-        grad_picked = row_weights * np.clip(error, -huber_delta, huber_delta) / batch
-        loss = float(
-            np.mean(
-                row_weights
-                * np.where(
-                    np.abs(error) <= huber_delta,
-                    0.5 * error**2,
-                    huber_delta * (np.abs(error) - 0.5 * huber_delta),
-                )
-            )
-        )
+        if sample_weights is not None:
+            row_weights = np.asarray(sample_weights, dtype=self.dtype).ravel()
+            grad_picked *= row_weights
+            huber *= row_weights
+        grad_picked /= batch
+        loss = float(np.mean(huber))
 
         grad_q = np.zeros_like(q)
-        grad_q[np.arange(batch), actions] = grad_picked
+        grad_q[rows, actions] = grad_picked
 
         self._adam_t += 1
         grad = grad_q
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            grad, grad_w, grad_b = layer.backward(activations[i], pres[i], grad)
+            grad, grad_w, grad_b = layer.backward(
+                activations[i], pres[i], grad, input_grad=i > 0
+            )
             self._adam_step(layer, grad_w, grad_b)
         if return_td_errors:
             return loss, error

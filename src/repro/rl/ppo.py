@@ -85,6 +85,11 @@ class PolicyValueNetwork:
         return tuple(layer.weight.shape[1] for layer in self.trunk)
 
     @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: inputs are cast to it once, on entry."""
+        return self.trunk[0].weight.dtype
+
+    @property
     def layers(self) -> List[DenseLayer]:
         """All layers in canonical (trunk..., policy, value) order."""
         return [*self.trunk, self.policy_head, self.value_head]
@@ -94,7 +99,7 @@ class PolicyValueNetwork:
         self, states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], List[np.ndarray]]:
         """(logits, values, trunk activations, trunk pre-activations)."""
-        x = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        x = np.atleast_2d(np.asarray(states, dtype=self.dtype))
         activations = [x]
         pres: List[np.ndarray] = []
         h = x
@@ -108,9 +113,8 @@ class PolicyValueNetwork:
 
     def predict(self, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(logits, values) for a batch or a single state row."""
-        x = np.asarray(states, dtype=np.float64)
-        squeeze = x.ndim == 1
-        logits, values, _, _ = self.forward(x)
+        squeeze = np.ndim(states) == 1
+        logits, values, _, _ = self.forward(states)
         if squeeze:
             return logits[0], float(values[0])
         return logits, values
@@ -191,11 +195,12 @@ def ppo_loss_and_grads(
     ready for :meth:`PolicyValueNetwork.apply_gradients`, and pure
     enough for a finite-difference check (no optimizer state touched).
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    dtype = net.dtype
+    states = np.atleast_2d(np.asarray(states, dtype=dtype))
     actions = np.asarray(actions, dtype=np.int64).ravel()
-    old_logprobs = np.asarray(old_logprobs, dtype=np.float64).ravel()
-    advantages = np.asarray(advantages, dtype=np.float64).ravel()
-    returns = np.asarray(returns, dtype=np.float64).ravel()
+    old_logprobs = np.asarray(old_logprobs, dtype=dtype).ravel()
+    advantages = np.asarray(advantages, dtype=dtype).ravel()
+    returns = np.asarray(returns, dtype=dtype).ravel()
     batch = states.shape[0]
     rows = np.arange(batch)
 
@@ -249,7 +254,9 @@ def ppo_loss_and_grads(
     grad = grad_trunk_p + grad_trunk_v
     for i in range(len(net.trunk) - 1, -1, -1):
         layer = net.trunk[i]
-        grad, gw, gb = layer.backward(activations[i], pres[i], grad)
+        grad, gw, gb = layer.backward(
+            activations[i], pres[i], grad, input_grad=i > 0
+        )
         grads[i] = (gw, gb)
 
     stats = {
@@ -319,7 +326,7 @@ class PPOAgent:
     # -- acting ----------------------------------------------------------------
     def policy(self, state: np.ndarray) -> np.ndarray:
         """Action probabilities for one state."""
-        logits, _ = self.net.predict(np.asarray(state, dtype=np.float64))
+        logits, _ = self.net.predict(state)
         logp = log_softmax(logits[None, :])[0]
         return np.exp(logp)
 
@@ -341,7 +348,7 @@ class PPOAgent:
         return int(self.act_batch(np.reshape(state, (1, -1)), greedy)[0])
 
     def act_batch(self, states: np.ndarray, greedy: bool = False) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
+        states = np.asarray(states)
         if states.ndim != 2:
             raise ValueError(f"expected (n, state_dim) batch, got {states.shape}")
         logits, values = self.net.predict(states)
@@ -376,20 +383,18 @@ class PPOAgent:
             if cached is None:
                 # Off-policy ingest (e.g. journaled traffic): score the
                 # transition under the current policy.
-                logits, v = self.net.predict(
-                    np.asarray(state, dtype=np.float64)
-                )
+                logits, v = self.net.predict(state)
                 logp = log_softmax(logits[None, :])[0]
                 cached = (float(logp[int(action)]), float(v))
             logprob, value = cached
         else:
             self._pending.pop(lane, None)
         buf = self._lane(lane)
-        buf.states.append(np.asarray(state, dtype=np.float64).ravel().copy())
+        buf.states.append(np.array(state, dtype=self.net.dtype).ravel())
         buf.actions.append(int(action))
         buf.rewards.append(float(reward) * self.config.reward_scale)
         buf.next_states.append(
-            np.asarray(next_state, dtype=np.float64).ravel().copy()
+            np.array(next_state, dtype=self.net.dtype).ravel()
         )
         buf.dones.append(bool(done))
         buf.logprobs.append(float(logprob))
@@ -480,9 +485,7 @@ class PPOAgent:
         if dones[-1]:
             next_values[-1] = 0.0
         else:
-            _, tail = self.net.predict(
-                np.asarray(buf.next_states[-1], dtype=np.float64)
-            )
+            _, tail = self.net.predict(buf.next_states[-1])
             next_values[-1] = tail
         next_values[dones] = 0.0
         deltas = rewards + c.gamma * next_values - values

@@ -50,9 +50,9 @@ class RegisteredModel:
         return self.network.num_actions
 
     def act(self, states: np.ndarray) -> np.ndarray:
-        """Greedy actions for a ``(n, state_dim)`` batch — one forward."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        return self.network.predict(states).argmax(axis=1)
+        """Greedy actions for a ``(n, state_dim)`` batch — one forward
+        (``predict`` casts the batch once to the network's dtype)."""
+        return self.network.predict(np.atleast_2d(states)).argmax(axis=1)
 
     def describe(self) -> Dict[str, Any]:
         return {

@@ -6,6 +6,7 @@ import pytest
 
 from repro.rl import PPOAgent, PPOConfig, PolicyValueNetwork, ppo_loss_and_grads
 from repro.rl.ppo import log_softmax
+from tests.rl.precision import to_float64
 
 
 def _small_net(seed=0):
@@ -29,8 +30,9 @@ def _batch(net, n=12, seed=1):
 class TestLossGradients:
     def test_matches_finite_differences(self):
         """Analytic (grad_w, grad_b) match central finite differences of
-        the scalar loss at sampled coordinates of every layer."""
-        net = _small_net()
+        the scalar loss at sampled coordinates of every layer, on the
+        same network code cast to float64."""
+        net = to_float64(_small_net())
         data = _batch(net)
         kwargs = dict(clip_ratio=0.2, value_coef=0.5, entropy_coef=0.01)
 

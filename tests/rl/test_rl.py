@@ -1,6 +1,8 @@
 """RL machinery: network (with numerical gradient check), replay,
 schedules, DQN/Double-DQN agents."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.rl import (
     ReplayMemory,
     paper_epsilon_schedule,
 )
+from tests.rl.precision import to_float64
 
 
 class TestQNetwork:
@@ -36,8 +39,10 @@ class TestQNetwork:
         assert last < first * 0.5
 
     def test_gradient_matches_numerical(self):
-        """Backprop gradient vs central finite differences."""
-        net = QNetwork(5, 2, hidden=(7,), learning_rate=0.0, seed=3)
+        """Backprop gradient vs central finite differences, on the same
+        network code cast to float64 (float32 cannot resolve a central
+        difference at ``eps = 1e-6``)."""
+        net = to_float64(QNetwork(5, 2, hidden=(7,), learning_rate=0.0, seed=3))
         rng = np.random.RandomState(4)
         states = rng.standard_normal((4, 5))
         actions = np.array([0, 1, 1, 0])
@@ -91,6 +96,40 @@ class TestQNetwork:
             grads_w[k] = gw
         assert grads_w[0][i, j] == pytest.approx(numerical, rel=1e-4, abs=1e-7)
 
+    def test_float32_gradient_matches_float64(self):
+        """At the ``scaled_config`` shapes (300-256-128-34, 128 rows), the
+        float32 analytic gradient of every parameter matches the float64
+        one of the same weights on the same inputs."""
+        net32 = QNetwork(300, 34, hidden=(256, 128), seed=0)
+        net64 = to_float64(copy.deepcopy(net32))
+        rng = np.random.RandomState(5)
+        states = rng.standard_normal((128, 300)).astype(np.float32)
+        actions = rng.randint(0, 34, size=128)
+        targets = rng.standard_normal(128)
+
+        def grads(net):
+            activations, pres = [np.asarray(states, dtype=net.dtype)], []
+            for layer in net.layers:
+                pre, h = layer.forward(activations[-1])
+                pres.append(pre)
+                activations.append(h)
+            q = activations[-1]
+            rows = np.arange(128)
+            grad = np.zeros_like(q)
+            grad[rows, actions] = np.clip(q[rows, actions] - targets, -1, 1) / 128
+            out = []
+            for k in range(len(net.layers) - 1, -1, -1):
+                grad, gw, gb = net.layers[k].backward(
+                    activations[k], pres[k], grad, input_grad=k > 0
+                )
+                out += [gw, gb]
+            return out
+
+        for g32, g64 in zip(grads(net32), grads(net64)):
+            assert g32.dtype == np.float32 and g64.dtype == np.float64
+            rel = np.linalg.norm(g32 - g64) / np.linalg.norm(g64)
+            assert rel < 1e-4
+
     def test_weight_copy(self):
         a = QNetwork(6, 3, hidden=(8,), seed=1)
         b = QNetwork(6, 3, hidden=(8,), seed=2)
@@ -139,11 +178,12 @@ class TestQNetwork:
         with pytest.raises(ValueError, match="hidden layers"):
             QNetwork.load(path, hidden=(128, 64))
 
-    def test_predict_no_copy_for_float64(self):
-        """The act-path boundary cast is a no-op for float64 inputs."""
+    def test_predict_no_copy_for_float32(self):
+        """The act-path boundary cast is a no-op for the float32 states
+        the environment hands over."""
         net = QNetwork(4, 2, hidden=(8,))
-        state = np.ones(4, dtype=np.float64)
-        assert np.asarray(state, dtype=np.float64) is state
+        state = np.ones(4, dtype=np.float32)
+        assert np.asarray(state, dtype=net.dtype) is state
         assert net.predict(state).shape == (2,)
 
 
