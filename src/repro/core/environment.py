@@ -10,7 +10,10 @@ Metrics are produced through a :class:`~repro.core.metrics.MetricsEngine`:
 per-function size/MCA/embedding results are memoized on structural
 fingerprints, and whole ``(state, action)`` transitions are cached so that
 revisited prefixes (ubiquitous under ε-greedy training) skip the pass
-pipeline entirely.
+pipeline and the measurements. Each env owns one private module per
+episode, cloned from the original by the first step that needs it and
+mutated in place by every miss; actions taken through changed hits are
+replayed on it when it is next needed, and must reach the same state.
 """
 
 from __future__ import annotations
@@ -95,48 +98,44 @@ class PhaseOrderingEnv:
         self.encoder = self.metrics.encoder
 
         # Baseline ("without any optimization") metrics — Eqns 2-3
-        # denominators — computed once. Per-function fingerprints are
-        # computed once here and threaded through every consumer.
+        # denominators and the initial state — computed once. Per-function
+        # fingerprints are computed once here and threaded through every
+        # consumer.
         base_fps = self.metrics.function_fingerprints(module)
         self.base_size = self.metrics.size(module, base_fps).total_bytes
         self.base_throughput = self.metrics.throughput(
             module, base_fps
         ).throughput
         self._base_fingerprint = self.metrics.fingerprint(module, base_fps)
-
-        # ``current`` is materialized lazily: ``_pending`` references a
-        # read-only snapshot (the original, or a transition-cache entry)
-        # that is cloned only when something actually needs a mutable
-        # module. A chain of transition-cache hits therefore never clones.
-        self._current: Optional[Module] = None
-        self._pending: Optional[Module] = module
-        self.steps = 0
-        self.last_size = self.base_size
-        self.last_throughput = self.base_throughput
-        self.history: List[StepInfo] = []
-        self._state: Optional[np.ndarray] = None
-        self._base_state: Optional[np.ndarray] = None
-        # Fingerprint of ``current``, maintained incrementally so a chain
-        # of transition-cache hits never re-walks the module.
-        self._fingerprint = self._base_fingerprint
+        self._base_state = self.metrics.embedding(module, base_fps)
+        self._base_state.setflags(write=False)
+        self.reset()
 
     @property
     def current(self) -> Module:
-        """The module in its current (post-actions) state.
+        """The module in its current (post-actions) state: the env's
+        private module.
 
-        Materializes a private mutable copy on first access after a reset
-        or a transition-cache hit.
+        Cloned from the original on first access in an episode. Actions
+        taken through transition-cache hits since the last miss are
+        replayed on it first; the replay must reach :attr:`fingerprint`,
+        else a :class:`RuntimeError` names both fingerprints and the
+        replayed actions (a pass that is not deterministic).
         """
-        if self._pending is not None:
-            self._current = self._pending.clone()
-            self._pending = None
-        assert self._current is not None
-        return self._current
-
-    @current.setter
-    def current(self, module: Module) -> None:
-        self._current = module
-        self._pending = None
+        if self._module is None:
+            self._module = self.original.clone()
+        if self._lag:
+            lag, self._lag = self._lag, []
+            for action in lag:
+                self.action_space.apply(action, self._module)
+            replayed = self.metrics.fingerprint(self._module)
+            if replayed != self._fingerprint:
+                raise RuntimeError(
+                    f"replaying actions {lag} reached fingerprint "
+                    f"{replayed}, not the env's {self._fingerprint}"
+                )
+            self._module_fingerprint = replayed
+        return self._module
 
     @property
     def fingerprint(self) -> str:
@@ -154,24 +153,24 @@ class PhaseOrderingEnv:
         return self.encoder.dimension
 
     def observe(self) -> np.ndarray:
-        if self._state is not None:
-            return self._state
-        # Embedding is a pure read: no need to materialize a mutable copy.
-        module = self._pending if self._pending is not None else self.current
-        return self.metrics.embedding(module)
+        return self._state
 
     def reset(self) -> np.ndarray:
-        self._pending = self.original
-        self._current = None
+        # The episode's private module, cloned from the original by the
+        # first step that needs one, and its fingerprint. ``_lag`` holds
+        # the actions taken through changed transition-cache hits since
+        # the last miss: replaying them on ``_module`` reaches
+        # ``_fingerprint``, the current state's fingerprint (maintained
+        # incrementally, so a chain of hits never re-walks a module).
+        self._module: Optional[Module] = None
+        self._module_fingerprint = self._base_fingerprint
+        self._lag: List[int] = []
+        self._fingerprint = self._base_fingerprint
+        self._state = self._base_state
         self.steps = 0
         self.last_size = self.base_size
         self.last_throughput = self.base_throughput
-        self.history = []
-        self._fingerprint = self._base_fingerprint
-        if self._base_state is None:
-            self._base_state = self.metrics.embedding(self.original)
-            self._base_state.setflags(write=False)
-        self._state = self._base_state
+        self.history: List[StepInfo] = []
         return self._state
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool, StepInfo]:
@@ -223,16 +222,16 @@ class PhaseOrderingEnv:
         fingerprint = self._fingerprint
         hit = engine.transitions.get(fingerprint, action)
         if hit is not None:
-            if hit.module is not None:
-                # Lazy: keep a reference to the cache-owned snapshot; it
-                # is cloned only if something needs a mutable module.
-                self._current = None
-                self._pending = hit.module
+            if hit.changed:
+                if hit.result_fingerprint == self._module_fingerprint:
+                    self._lag.clear()  # back on the private module's state
+                else:
+                    self._lag.append(action)
             self._fingerprint = hit.result_fingerprint
             self._state = hit.embedding
             return hit.size, hit.throughput, hit.changed, True, 0.0, 0.0
 
-        module = self.current  # materializes a mutable copy if needed
+        module = self.current  # clones or replays the lag if needed
         start = time.perf_counter()
         applied = self.action_space.apply(action, module)
         passes_s = time.perf_counter() - start
@@ -253,17 +252,10 @@ class PhaseOrderingEnv:
             measure_s = time.perf_counter() - start
             size, throughput = measured.size, measured.throughput
             cycles, embedding = measured.cycles, measured.embedding
-            # Hand the mutated module itself to the cache and keep only a
-            # lazy reference to it — nothing mutates it from here without
-            # going through the materializing ``current`` property.
-            snapshot: Optional[Module] = module
-            self._current = None
-            self._pending = module
         else:
             size, throughput = self.last_size, self.last_throughput
             cycles = 0.0
-            embedding = self.observe()
-            snapshot = None
+            embedding = self._state
         # The state array is shared between the cache, the env and the
         # agent: freeze it so an accidental in-place edit cannot corrupt
         # future hits.
@@ -278,9 +270,9 @@ class PhaseOrderingEnv:
                 throughput=throughput,
                 cycles=cycles,
                 embedding=embedding,
-                module=snapshot,
             ),
         )
+        self._module_fingerprint = result_fp
         self._fingerprint = result_fp
         self._state = embedding
         return size, throughput, changed, False, passes_s, measure_s
@@ -310,8 +302,8 @@ def greedy_rollout(
     ``choose(state)`` at every step.
 
     Returns the actions and the end state, ``env.current``: the env's
-    private materialized module, never a transition-cache snapshot, so
-    the caller owns it.
+    private module with any lagged actions replayed. The caller owns
+    it: the env's next episode clones a fresh one.
     """
     state = env.reset()
     actions: List[int] = []

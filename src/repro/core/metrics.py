@@ -10,9 +10,10 @@ fingerprints (:mod:`repro.ir.fingerprint`):
   outgoing call counts, embedding) per fingerprint, in one LRU. A miss
   flattens the function once (:func:`~repro.ir.flat.build_flat_function`),
   runs the three flat kernels on the view and drops it;
-* whole transitions — ``(module_fingerprint, action) →`` result metrics
-  plus a snapshot of the resulting module, so an ε-greedy agent revisiting
-  a known prefix skips the pass pipeline entirely.
+* whole transitions — ``(module_fingerprint, action) →`` the result's
+  fingerprint, changed-flag, metrics and frozen embedding, so an ε-greedy
+  agent revisiting a known prefix skips passes and measurements. Entries
+  hold no module: an env replays its hits' actions on its own module.
 
 Records are combined by the same module-level steps the standalone
 object-walk measurements use (``object_size``, ``estimate_throughput``,
@@ -56,7 +57,7 @@ from ..observability import get_registry
 
 #: Per-function record cache capacity (entries are small reports/vectors).
 FUNCTION_CACHE_SIZE = 16384
-#: Transition cache capacity (entries hold a module snapshot).
+#: Transition cache capacity (entries are metrics and one embedding).
 TRANSITION_CACHE_SIZE = 2048
 
 
@@ -95,9 +96,6 @@ class Transition:
     throughput: float
     cycles: float
     embedding: np.ndarray
-    #: Snapshot of the module after the action; ``None`` when the action
-    #: was a structural no-op (the caller's module is already the result).
-    module: Optional[Module]
 
 
 class TransitionCache:

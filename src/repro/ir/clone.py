@@ -1,7 +1,7 @@
 """Structured cloning of functions and modules.
 
-Cloning is used pervasively: the RL environment snapshots the module each
-step, the inliner clones callee bodies, loop unrolling/unswitching clone
+Cloning is used pervasively: the RL environment clones its input once per
+episode, the inliner clones callee bodies, loop unrolling/unswitching clone
 loop bodies. All of them funnel through :func:`clone_blocks_into`, which
 copies instructions while remapping operands through a value map.
 """

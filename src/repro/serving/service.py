@@ -534,8 +534,10 @@ class OptimizationService:
         }
         if self.result_cache is not None:
             out["result_cache"] = self.result_cache.stats.as_dict()
+        # ``list``: the scheduler adds an engine on a kind's first request.
         out["metrics"] = {
-            kind: engine.stats() for kind, engine in self._engines.items()
+            kind: engine.stats()
+            for kind, engine in list(self._engines.items())
         }
         return out
 

@@ -1,8 +1,9 @@
 """Per-stage timing of one RL episode: where does a step's time go?
 
 Breaks an episode down into the stages the environment runs — pass
-pipeline (``apply``), codegen size, MCA scheduling, IR2Vec embedding,
-fingerprinting — and prints a table of per-stage totals plus the metrics
+pipeline (``apply``), the episode's one module clone, codegen size, MCA
+scheduling, IR2Vec embedding, fingerprinting (per-function hashes and the
+module digest) — and prints a table of per-stage totals plus the metrics
 engine's cache counters. A function-record miss builds the record (size,
 MCA and embedding together) inside the ``codegen`` stage.
 
@@ -67,16 +68,18 @@ class _StageClock:
 def _instrument(env, engine: MetricsEngine, clock: _StageClock) -> None:
     """Route the env's stage calls through the clock.
 
-    Wraps the engine's bound methods (and ``ActionSpace.apply``) on the
+    Wraps the engine's, the action space's and the input's methods on the
     *instances*, so the episode runs through the real ``env.step`` path —
     including the transition cache, whose hits show up as stages simply
     not being called.
     """
     stages = (
         ("passes", env.action_space, "apply"),
+        ("clone", env.original, "clone"),
         ("codegen", engine, "size"),
         ("mca", engine, "throughput"),
         ("embedding", engine, "embedding"),
+        ("fingerprint", engine, "function_fingerprints"),
         ("fingerprint", engine, "fingerprint"),
     )
     for stage, obj, attr in stages:
@@ -296,7 +299,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     print(f"profile: {args.episodes} episode(s) x {args.steps} steps "
           f"(target {args.target})")
     print(f"{'stage':<12} {'total s':>10} {'calls':>7} {'ms/call':>9} {'share':>7}")
-    for stage in ("passes", "codegen", "mca", "embedding", "fingerprint"):
+    for stage in ("passes", "clone", "codegen", "mca", "embedding",
+                  "fingerprint"):
         total = clock.totals.get(stage, 0.0)
         calls = clock.calls.get(stage, 0)
         per = 1000.0 * total / calls if calls else 0.0

@@ -148,7 +148,7 @@ class TestTransitionAccounting:
         tc = TransitionCache(capacity=1)
         t = Transition(
             result_fingerprint="x", changed=False, size=1, throughput=1.0,
-            cycles=1.0, embedding=np.zeros(4), module=None,
+            cycles=1.0, embedding=np.zeros(4),
         )
         tc.put("fp1", 0, t)
         tc.put("fp2", 0, t)

@@ -257,3 +257,27 @@ class TestProfile:
             assert "steps=20 " in lines[label]
             assert "episodes=4 " in lines[label]
         assert lines["speedup:"].endswith("(vectorized vs serial steps/sec)")
+
+    def test_stage_table_counts_one_clone_per_episode(self, capsys):
+        """The episode clones its input once; a repeat of the same actions
+        is served by the transition cache and clones nothing. The
+        fingerprint row counts the per-function hashing as well as the
+        module digest of every applied miss."""
+        from repro.tools import profile
+
+        def stage_calls(episodes):
+            rc, out, _ = run_tool(
+                profile,
+                ["--suite", "mibench", "--episodes", str(episodes)],
+                capsys,
+            )
+            assert rc == 0
+            rows = [line.split() for line in out.splitlines() if line]
+            return {row[0]: int(row[2]) for row in rows
+                    if len(row) == 5 and row[2].isdigit()}
+
+        once = stage_calls(1)
+        assert once["clone"] == 1
+        assert once["fingerprint"] % 2 == 0
+        assert once["fingerprint"] >= 2 * once["codegen"] > 0
+        assert stage_calls(3) == once
