@@ -19,8 +19,9 @@ Two optional integrations, both free when unused:
 * ``lock=`` serializes ``get``/``put``/``clear`` under a caller-supplied
   :class:`threading.Lock`. ``OrderedDict.move_to_end`` plus the counter
   increments are *not* safe under concurrent mutation; pass a lock when
-  a cache is shared across threads (the serving engines do), or keep the
-  default single-thread ownership.
+  a cache is shared across threads (the serving engines and the
+  service's admission and result caches do), or keep the default
+  single-thread ownership.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional
 
 
 @dataclass
@@ -117,7 +118,6 @@ class LRUCache:
         capacity: int = 4096,
         name: Optional[str] = None,
         lock: Optional[threading.Lock] = None,
-        on_evict: Optional[Callable[[Hashable, Any], None]] = None,
     ):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
@@ -125,10 +125,6 @@ class LRUCache:
         self.name = name
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = lock
-        # Called as ``on_evict(key, value)`` for capacity evictions only
-        # (not for ``clear``), while the cache's own lock (if any) is
-        # held — the callback must not call back into this cache.
-        self._on_evict = on_evict
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -190,10 +186,8 @@ class LRUCache:
             self._data.move_to_end(key)
         self._data[key] = value
         if len(self._data) > self.capacity:
-            evicted_key, evicted_value = self._data.popitem(last=False)
+            self._data.popitem(last=False)
             self.evictions += 1
-            if self._on_evict is not None:
-                self._on_evict(evicted_key, evicted_value)
 
     def clear(self) -> None:
         if self._lock is not None:

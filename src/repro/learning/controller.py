@@ -80,7 +80,7 @@ class _ServiceAdapter:
         self.service.registry.activate(version)
 
     def health(self) -> Tuple[int, int]:
-        with self.service._memo_lock:
+        with self.service._counter_lock:
             c = dict(self.service.counters)
         completed = int(c.get("ok", 0)) + int(c.get("fallbacks", 0))
         return completed, int(c.get("fallbacks", 0))

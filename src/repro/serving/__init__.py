@@ -19,7 +19,6 @@ mixes) are the harnesses behind ``python -m repro.tools.serve``.
 See ``docs/SERVING.md`` for the architecture and measured numbers.
 """
 
-from .cache import ResultCache, text_key
 from .gateway import (
     GatewayStats,
     ShardSpec,
@@ -36,7 +35,12 @@ from .loadgen import (
     run_open_loop,
 )
 from .registry import ModelRegistry, RegisteredModel
-from .service import OptimizationService, OptimizeRequest, OptimizeResult
+from .service import (
+    OptimizationService,
+    OptimizeRequest,
+    OptimizeResult,
+    text_key,
+)
 
 __all__ = [
     "GatewayStats",
@@ -47,7 +51,6 @@ __all__ = [
     "OptimizeRequest",
     "OptimizeResult",
     "RegisteredModel",
-    "ResultCache",
     "ShardSpec",
     "ShardedGateway",
     "TenantMix",

@@ -19,9 +19,9 @@ phase-ordering evaluation: N worker *processes*, each running a full
 * **fingerprint-affine routing** — ``shard =
   int(module_fingerprint, 16) % n_shards``. The structural fingerprint
   is deterministic across processes (no salted ``hash()``), so the same
-  module always lands on the same shard and that shard's
-  ``ResultCache``, environment pool and function-record cache stay hot for
-  its slice of the keyspace: sharding does not cold-split the caches.
+  module always lands on the same shard and that shard's admission,
+  result and function-record caches stay hot for its slice of the
+  keyspace: sharding does not cold-split the caches.
   An exact-text routing memo in front of the fingerprint means repeat
   requests (the common serving case) are routed without re-parsing.
 
@@ -54,15 +54,20 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..caching import LRUCache
 from ..core.environment import DEFAULT_EPISODE_LENGTH
 from ..ir.fingerprint import module_fingerprint
 from ..ir.parser import parse_module
 from ..observability import get_registry
 from ..rl.network import QNetwork
 from ..workers import WorkerPool, serve
-from .cache import text_key
 from .registry import ModelRegistry
-from .service import OptimizationService, OptimizeRequest, OptimizeResult
+from .service import (
+    OptimizationService,
+    OptimizeRequest,
+    OptimizeResult,
+    text_key,
+)
 
 __all__ = [
     "GatewayStats",
@@ -72,6 +77,9 @@ __all__ = [
     "shard_for_fingerprint",
     "route_text",
 ]
+
+#: Exact-text routing memo capacity.
+ROUTE_MEMO_SIZE = 65536
 
 
 def shard_for_fingerprint(fingerprint: str, n_shards: int) -> int:
@@ -277,7 +285,7 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:
             else:
                 future.add_done_callback(completion)
         elif cmd == "ping":
-            with service._memo_lock:
+            with service._counter_lock:
                 counters = dict(service.counters)
             send(("pong", msg[1], counters))
         elif cmd == "register":
@@ -445,7 +453,6 @@ class ShardedGateway:
         heartbeat_interval_s: float = 0.25,
         heartbeat_timeout_s: float = 5.0,
         max_restarts_per_shard: int = 100,
-        route_memo_size: int = 65536,
         shard_metrics_template: Optional[str] = None,
         coalesce: bool = True,
     ):
@@ -490,9 +497,7 @@ class ShardedGateway:
         self._monitor_stop = threading.Event()
         # Exact-text routing memo: text key -> ("s", shard) | ("r", reason).
         # Bounded LRU — stranded entries age out; values are tiny.
-        from ..caching import LRUCache
-
-        self._route_memo = LRUCache(route_memo_size)
+        self._route_memo = LRUCache(ROUTE_MEMO_SIZE)
         self._route_lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}
         self._bucket_lock = threading.Lock()
@@ -1095,7 +1100,7 @@ class ShardedGateway:
         Per-worker semantics match a single service's hot reload:
         registration + activation is atomic inside each worker, requests
         already admitted keep their pinned version, and the per-shard
-        ``ResultCache`` keys on ``(fingerprint, model version)`` so no
+        result cache keys on ``(fingerprint, model version)`` so no
         stale sequences are served. Returns ``{shard: error_or_None}``.
         """
         if (checkpoint is None) == (network is None):

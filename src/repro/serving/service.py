@@ -18,19 +18,24 @@ batching); when the service is idle, the first waiter is held for at most
 ``batch_window_s`` so closely-spaced arrivals share a batch, and the
 window is cut short the moment ``max_batch`` requests are waiting.
 
-**Caching.** Completed reports land in a fingerprint-keyed
-:class:`~repro.serving.cache.ResultCache`; repeat submissions return the
-recorded report without touching the pass pipeline or any measurement
-code. Session environments are pooled per (fingerprint, action space) and
-share one :class:`~repro.core.metrics.MetricsEngine` per action-space
-kind, so even cache-miss rollouts over known modules run on the warm
-transition cache. (Engines are segregated by action-space kind because
-the transition cache keys on raw action indices, which mean different
-sub-sequences in different spaces.)
+**Caching.** One bounded :class:`~repro.caching.LRUCache` per key. The
+admission cache maps the exact request text to its fingerprint and
+parsed module (or its rejection reason), so a byte-identical
+resubmission skips the parse. The result cache maps ``(fingerprint,
+model version)`` to the recorded report; repeat submissions return it
+without touching the pass pipeline or any measurement code. The check
+cache holds the ``(input, result)`` fingerprint pairs that passed every
+check. Each session carries the module parsed from its own text, so an
+admission entry evicted mid-flight costs nothing. Session environments
+are built fresh on one :class:`~repro.core.metrics.MetricsEngine` per
+action-space kind, so even cache-miss rollouts over known modules run on
+the warm transition cache. (Engines are segregated by action-space kind
+because the transition cache keys on raw action indices, which mean
+different sub-sequences in different spaces.)
 
 **Robustness guard.** Every request carries a wall-clock deadline;
 oversized or unparsable modules are rejected up front; each optimized
-result is verified (memoized by result fingerprint) before it is
+result is verified (memoized in the check cache) before it is
 returned; and any pass failure, verifier failure or timeout falls back to
 the stock ``-Oz`` pipeline with a per-reason error counter.
 
@@ -44,15 +49,17 @@ costs a handful of interpreter runs per (memoized) result.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..caching import LRUCache
 from ..core.environment import PhaseOrderingEnv
 from ..core.metrics import MetricsEngine
 from ..ir.fingerprint import module_fingerprint
@@ -63,15 +70,17 @@ from ..ir.verifier import VerificationError, verify_module
 from ..observability import Span, get_registry, get_tracer
 from ..passes.pipelines import OZ_PASS_SEQUENCE, build_pipeline
 from ..rl.network import QNetwork
-from .cache import ResultCache, text_key
 from .registry import ModelRegistry, RegisteredModel
 
-#: Cap on the verified-result fingerprint memo (entries are 32-char keys).
-_VERIFIED_MEMO_LIMIT = 65536
-
-#: Cap on the text-key admission memo when it cannot live in the result
-#: cache (rejections, and everything when ``result_cache_size=None``).
-_FP_MEMO_LIMIT = 65536
+#: Admission cache capacity (exact request text -> fingerprint and parsed
+#: module, or the rejection reason). A parsed module that has been
+#: measured holds about 150 KB on ``llvm_test_suite`` programs, so this
+#: is the service's bound on retained IR; an evicted text costs one
+#: parse + fingerprint (about 4 ms) when it comes back.
+ADMISSION_CACHE_SIZE = 256
+#: Check cache capacity (``(input, result)`` fingerprint pairs that passed
+#: every check; entries are two 32-char keys).
+CHECK_CACHE_SIZE = 65536
 
 #: Canonical order of the per-request latency stages (span children and
 #: ``repro_serving_stage_seconds`` labels).
@@ -79,6 +88,15 @@ LATENCY_STAGES = ("queue", "forward", "passes", "measure", "verify")
 
 #: Request outcomes (``repro_serving_requests_total``/latency labels).
 _STATUSES = ("ok", "fallback", "rejected")
+
+#: An admission cache entry: ``(fingerprint, parsed module)`` for an
+#: accepted text, the rejection reason for a rejected one.
+_Admission = Union[Tuple[str, Module], str]
+
+
+def text_key(ir_text: str) -> str:
+    """Cheap exact-text key (128-bit blake2b of the submitted bytes)."""
+    return hashlib.blake2b(ir_text.encode(), digest_size=16).hexdigest()
 
 
 class _ServingInstruments:
@@ -222,17 +240,19 @@ class OptimizeResult:
 
 
 class _Session:
-    """One in-flight request: its pinned model, env and rollout state."""
+    """One in-flight request: its parsed module, pinned model, env and
+    rollout state."""
 
     __slots__ = (
-        "name", "fingerprint", "model", "future", "arrival", "deadline",
-        "env", "pool_key", "state", "finalized", "stage_seconds", "traj",
+        "name", "fingerprint", "module", "model", "future", "arrival",
+        "deadline", "env", "state", "finalized", "stage_seconds", "traj",
     )
 
     def __init__(
         self,
         name: str,
         fingerprint: str,
+        module: Module,
         model: RegisteredModel,
         future: "Future[OptimizeResult]",
         arrival: float,
@@ -240,12 +260,12 @@ class _Session:
     ):
         self.name = name
         self.fingerprint = fingerprint
+        self.module = module
         self.model = model
         self.future = future
         self.arrival = arrival
         self.deadline = deadline
         self.env: Optional[PhaseOrderingEnv] = None
-        self.pool_key: Optional[Tuple[str, str, int]] = None
         self.state: Optional[np.ndarray] = None
         self.finalized = False
         #: Accumulated wall seconds per latency stage (see LATENCY_STAGES),
@@ -291,33 +311,33 @@ class OptimizationService:
         #: (verified) rollouts are logged as RL trajectories for the
         #: online trainer. Fallbacks and cache hits are never logged.
         self.experience_tap = experience_tap
-        self.result_cache: Optional[ResultCache] = (
-            ResultCache(result_cache_size) if result_cache_size else None
+        # The three caches. Admission and results are read and written
+        # from every client thread (and results from the scheduler), so
+        # each carries a lock; the check cache is the scheduler's own.
+        #: text key -> :data:`_Admission`.
+        self._admission = LRUCache(ADMISSION_CACHE_SIZE, lock=threading.Lock())
+        #: ``(fingerprint, model version)`` -> recorded :class:`OptimizeResult`.
+        self.result_cache: Optional[LRUCache] = (
+            LRUCache(result_cache_size, lock=threading.Lock())
+            if result_cache_size else None
         )
+        #: ``(input fingerprint, result fingerprint)`` -> ``True``.
+        self._checked = LRUCache(CHECK_CACHE_SIZE)
 
         # Scheduler state. ``_queue`` is shared with client threads (under
-        # ``_wake``); ``_active``, the env pool and the metrics engines are
-        # touched by the scheduler thread only.
+        # ``_wake``); ``_active`` and the metrics engines are touched by
+        # the scheduler thread only.
         self._wake = threading.Condition()
         self._queue: Deque[_Session] = deque()
         self._active: List[_Session] = []
-        self._env_pool: Dict[Tuple[str, str, int], List[PhaseOrderingEnv]] = {}
         self._engines: Dict[str, MetricsEngine] = {}
-        self._verified: set = set()
-        self._sem_verified: set = set()
         self._thread: Optional[threading.Thread] = None
         self._running = False
         self._closed = False
 
-        # Exact-text admission memo (client threads, under ``_memo_lock``):
-        # text key -> ("ok", fingerprint) | ("rejected", reason). With a
-        # result cache configured, accepted texts are memoized *in the
-        # cache* instead (``ResultCache.memo_text``) so their lifetime is
-        # coupled to the results they point at; this dict then only holds
-        # rejections, bounded by ``_FP_MEMO_LIMIT``.
-        self._memo_lock = threading.Lock()
-        self._fp_memo: Dict[str, Tuple[str, str]] = {}
-        self._modules: Dict[str, Module] = {}
+        #: Guards ``counters`` and ``error_counts`` (bumped from client
+        #: threads and the scheduler).
+        self._counter_lock = threading.Lock()
 
         self.counters: Dict[str, int] = {
             "requests": 0, "ok": 0, "cache_hits": 0,
@@ -430,7 +450,7 @@ class OptimizationService:
             thread.join(timeout)
         if self.experience_tap is not None:
             self.experience_tap.flush()
-        with self._memo_lock:
+        with self._counter_lock:
             return {
                 "counters": dict(self.counters),
                 "errors": dict(self.error_counts),
@@ -448,13 +468,13 @@ class OptimizationService:
     ) -> "Future[OptimizeResult]":
         """Enqueue one module; returns a future for its result.
 
-        The admission guard runs on the caller's thread: parse/oversize
-        rejection, exact-text memoization, fingerprinting and the result
-        cache lookup. Cache hits complete the future immediately — they
-        never reach the scheduler, the pass pipeline or any measurement
-        code. The active model version is pinned here, so a hot reload
-        between submission and execution does not change this request's
-        policy.
+        The admission guard runs on the caller's thread: the admission
+        cache lookup (parse/oversize rejection and fingerprinting on a
+        miss) and the result cache lookup. Cache hits complete the future
+        immediately — they never reach the scheduler, the pass pipeline or
+        any measurement code. The active model version is pinned here, so
+        a hot reload between submission and execution does not change this
+        request's policy.
         """
         if self._closed:
             # Checked again under the lock before enqueueing; this early
@@ -466,23 +486,18 @@ class OptimizationService:
         self._count("requests")
 
         key = text_key(ir_text)
-        with self._memo_lock:
-            memo = self._fp_memo.get(key)
-        if memo is None and self.result_cache is not None:
-            fingerprint = self.result_cache.lookup_text(key)
-            if fingerprint is not None:
-                memo = ("ok", fingerprint)
-        if memo is None:
-            memo = self._admission_check(key, ir_text)
-        kind, payload = memo
-        if kind == "rejected":
-            self._reject(future, name, arrival, payload)
+        admission = self._admission.get(key)
+        if admission is None:
+            admission = self._admission_check(ir_text)
+            self._admission.put(key, admission)
+        if isinstance(admission, str):
+            self._reject(future, name, arrival, admission)
             return future
-        fingerprint = payload
+        fingerprint, module = admission
 
         model = self.registry.active
         if self.result_cache is not None:
-            hit = self.result_cache.get(fingerprint, model.version)
+            hit = self.result_cache.get((fingerprint, model.version))
             if hit is not None:
                 self._count("cache_hits")
                 latency_s = time.monotonic() - arrival
@@ -496,6 +511,7 @@ class OptimizationService:
         session = _Session(
             name=name,
             fingerprint=fingerprint,
+            module=module,
             model=model,
             future=future,
             arrival=arrival,
@@ -532,6 +548,7 @@ class OptimizationService:
                 for v in self.registry.versions()
             },
         }
+        out["admission"] = self._admission.stats.as_dict()
         if self.result_cache is not None:
             out["result_cache"] = self.result_cache.stats.as_dict()
         # ``list``: the scheduler adds an engine on a kind's first request.
@@ -542,43 +559,27 @@ class OptimizationService:
         return out
 
     # -- admission (client threads) -----------------------------------------
-    def _admission_check(self, key: str, ir_text: str) -> Tuple[str, str]:
-        """Parse/oversize guard + fingerprint, memoized on exact text."""
+    def _admission_check(self, ir_text: str) -> _Admission:
+        """Parse/oversize guard + fingerprint: one admission cache entry."""
         try:
             module = parse_module(ir_text)
         except Exception as exc:
-            memo = ("rejected", f"parse_error: {exc}")
-        else:
-            count = module.instruction_count
-            if count > self.max_instructions:
-                memo = (
-                    "rejected",
-                    f"oversized: {count} instructions exceed the "
-                    f"service limit of {self.max_instructions}",
-                )
-            else:
-                fingerprint = module_fingerprint(module)
-                memo = ("ok", fingerprint)
-                with self._memo_lock:
-                    self._modules.setdefault(fingerprint, module)
-                if self.result_cache is not None:
-                    # Memoize in the cache so the entry's lifetime is
-                    # coupled to the results it points at.
-                    self.result_cache.memo_text(key, fingerprint)
-                    return memo
-        with self._memo_lock:
-            if len(self._fp_memo) >= _FP_MEMO_LIMIT:
-                self._fp_memo.clear()
-            self._fp_memo[key] = memo
-        return memo
+            return f"parse_error: {exc}"
+        count = module.instruction_count
+        if count > self.max_instructions:
+            return (
+                f"oversized: {count} instructions exceed the "
+                f"service limit of {self.max_instructions}"
+            )
+        return module_fingerprint(module), module
 
     def _count(self, key: str, n: int = 1) -> None:
-        with self._memo_lock:
+        with self._counter_lock:
             self.counters[key] = self.counters.get(key, 0) + n
 
     def _count_error(self, reason: str) -> None:
         tag = reason.split(":", 1)[0]
-        with self._memo_lock:
+        with self._counter_lock:
             self.error_counts[tag] = self.error_counts.get(tag, 0) + 1
 
     def _reject(
@@ -686,7 +687,7 @@ class OptimizationService:
         return engine
 
     def _admit(self, session: _Session) -> None:
-        """Attach a (pooled or fresh) environment and start the rollout."""
+        """Build the session's environment and start the rollout."""
         now = time.monotonic()
         if self._observe:
             # Pre-seed every stage so the per-step hot loop can use plain
@@ -700,26 +701,15 @@ class OptimizationService:
             return
         try:
             model = session.model
-            pool_key = (
-                session.fingerprint,
-                model.action_space_kind,
-                model.episode_length,
+            env = PhaseOrderingEnv(
+                session.module,
+                model.action_space,
+                target=self.target,
+                episode_length=model.episode_length,
+                metrics=self._engine_for(model.action_space_kind),
             )
-            pool = self._env_pool.get(pool_key)
-            env = pool.pop() if pool else None
-            if env is None:
-                with self._memo_lock:
-                    module = self._modules[session.fingerprint]
-                env = PhaseOrderingEnv(
-                    module,
-                    model.action_space,
-                    target=self.target,
-                    episode_length=model.episode_length,
-                    metrics=self._engine_for(model.action_space_kind),
-                )
             session.env = env
-            session.pool_key = pool_key
-            session.state = env.reset()
+            session.state = env.observe()
             if self.experience_tap is not None:
                 session.traj = ([session.state], [], [])
             self._active.append(session)
@@ -804,45 +794,33 @@ class OptimizationService:
                 + (time.perf_counter() - start)
             )
 
-    def _release_env(self, session: _Session) -> None:
-        env, session.env = session.env, None
-        if env is not None and session.pool_key is not None:
-            pool = self._env_pool.setdefault(session.pool_key, [])
-            if len(pool) < self.max_batch:
-                pool.append(env)
-
     def _finalize_ok(self, session: _Session) -> None:
         """Verify the rollout result and answer with the policy report."""
         env = session.env
         assert env is not None
         verify_start = time.perf_counter()
         try:
-            result_fp = env.fingerprint
-            needs_verify = self.verify and result_fp not in self._verified
-            needs_sem_check = self.semantic_check and (
-                (session.fingerprint, result_fp) not in self._sem_verified
+            check_key = (session.fingerprint, env.fingerprint)
+            needs_check = (self.verify or self.semantic_check) and (
+                self._checked.get(check_key) is None
             )
             optimized: Optional[Module] = None
-            if needs_verify or needs_sem_check or self.include_ir:
+            if needs_check or self.include_ir:
                 optimized = env.current
-            if needs_verify:
-                verify_module(optimized)
-                if len(self._verified) >= _VERIFIED_MEMO_LIMIT:
-                    self._verified.clear()
-                self._verified.add(result_fp)
-            if needs_sem_check:
-                from ..testing.oracle import modules_equivalent
+            if needs_check:
+                if self.verify:
+                    verify_module(optimized)
+                if self.semantic_check:
+                    from ..testing.oracle import modules_equivalent
 
-                with self._memo_lock:
-                    original = self._modules[session.fingerprint]
-                mismatch = modules_equivalent(original, optimized)
-                if mismatch is not None:
-                    self._note_verify_time(session, verify_start)
-                    self._finalize_fallback(session, f"miscompile: {mismatch}")
-                    return
-                if len(self._sem_verified) >= _VERIFIED_MEMO_LIMIT:
-                    self._sem_verified.clear()
-                self._sem_verified.add((session.fingerprint, result_fp))
+                    mismatch = modules_equivalent(session.module, optimized)
+                    if mismatch is not None:
+                        self._note_verify_time(session, verify_start)
+                        self._finalize_fallback(
+                            session, f"miscompile: {mismatch}"
+                        )
+                        return
+                self._checked.put(check_key, True)
         except VerificationError as exc:
             self._note_verify_time(session, verify_start)
             self._finalize_fallback(session, f"verify_error: {exc}")
@@ -877,13 +855,12 @@ class OptimizationService:
             ),
         )
         if self.result_cache is not None:
-            self.result_cache.put(session.fingerprint, model.version, result)
+            self.result_cache.put((session.fingerprint, model.version), result)
         if self.experience_tap is not None and session.traj is not None:
             # Only verified "ok" rollouts become training experience; the
             # tap itself never raises into the scheduler.
             states, traj_actions, traj_rewards = session.traj
             self.experience_tap.record(states, traj_actions, traj_rewards)
-        self._release_env(session)
         self._count("ok")
         session.finalized = True
         latency_s = time.monotonic() - session.arrival
@@ -895,7 +872,6 @@ class OptimizationService:
 
     def _finalize_fallback(self, session: _Session, reason: str) -> None:
         """Answer with the stock ``-Oz`` result; never raises."""
-        self._release_env(session)
         self._count("fallbacks")
         self._count_error(reason)
         result = self._fallback_result(session, reason)
@@ -909,8 +885,7 @@ class OptimizationService:
 
     def _fallback_result(self, session: _Session, reason: str) -> OptimizeResult:
         try:
-            with self._memo_lock:
-                original = self._modules[session.fingerprint]
+            original = session.module
             engine = self._engine_for(session.model.action_space_kind)
             base_size = engine.size(original).total_bytes
             base_throughput = engine.throughput(original).throughput

@@ -1,125 +1,28 @@
-"""ResultCache: composite keys plus the coupled exact-text admission memo."""
+"""Result cache: one ``(fingerprint, model version)`` key per report."""
 
-import pytest
-
-from repro.serving.cache import ResultCache, text_key
-
-
-def fill(cache, n, version="v1", prefix="fp"):
-    for i in range(n):
-        cache.put(f"{prefix}{i}", version, {"i": i})
+from repro import PosetRL
+from repro.ir.printer import print_module
+from repro.serving import OptimizationService
+from repro.workloads import ProgramProfile, generate_program
 
 
 class TestResultCache:
     def test_composite_key_includes_model_version(self):
-        cache = ResultCache(capacity=4)
-        cache.put("fp", "v1", "old")
-        cache.put("fp", "v2", "new")
-        assert cache.get("fp", "v1") == "old"
-        assert cache.get("fp", "v2") == "new"
-        assert cache.get("fp", "v3") is None
-
-    def test_text_memo_roundtrip(self):
-        cache = ResultCache(capacity=4)
-        key = text_key("define i32 @f() { ret i32 0 }")
-        assert cache.lookup_text(key) is None
-        cache.put("fp", "v1", "result")
-        cache.memo_text(key, "fp")
-        assert cache.lookup_text(key) == "fp"
-        assert cache.memo_size == 1
-
-
-class TestMemoEvictionCoupling:
-    """Regression: memo entries must die with their fingerprint's results.
-
-    Before the coupling, an evicted result left its text-memo entries
-    behind — the memo grew without bound under a churn workload, and a
-    later lookup could route through a fingerprint whose cached result
-    no longer existed.
-    """
-
-    def test_memo_evicted_with_last_result_entry(self):
-        cache = ResultCache(capacity=2)
-        cache.put("fpA", "v1", "a")
-        keys = [text_key(f"text-a{i}") for i in range(3)]
-        for key in keys:
-            cache.memo_text(key, "fpA")
-        assert cache.memo_size == 3
-        # Two more fingerprints evict fpA (capacity 2, LRU order).
-        cache.put("fpB", "v1", "b")
-        cache.put("fpC", "v1", "c")
-        assert cache.get("fpA", "v1") is None
-        for key in keys:
-            assert cache.lookup_text(key) is None
-        assert cache.memo_size == 0
-
-    def test_memo_survives_while_any_version_remains(self):
-        # fpA has entries under two model versions; evicting one of them
-        # must not drop the memo — the fingerprint is still resolvable.
-        cache = ResultCache(capacity=2)
-        cache.put("fpA", "v1", "a1")
-        cache.put("fpA", "v2", "a2")
-        key = text_key("text-a")
-        cache.memo_text(key, "fpA")
-        cache.put("fpB", "v1", "b")  # evicts (fpA, v1), the LRU entry
-        assert cache.get("fpA", "v1") is None
-        assert cache.get("fpA", "v2") == "a2"
-        assert cache.lookup_text(key) == "fpA"
-        # Make (fpA, v2) the LRU entry again, then evict it.
-        assert cache.get("fpB", "v1") == "b"
-        cache.put("fpC", "v1", "c")  # evicts (fpA, v2): last entry
-        assert cache.lookup_text(key) is None
-
-    def test_memo_not_leaked_under_churn(self):
-        cache = ResultCache(capacity=8)
-        for i in range(1000):
-            fp = f"fp{i}"
-            cache.put(fp, "v1", i)
-            cache.memo_text(text_key(f"text{i}"), fp)
-        # Only the 8 live fingerprints may retain memo entries.
-        assert len(cache) == 8
-        assert cache.memo_size <= 8
-
-    def test_put_same_key_twice_does_not_double_count(self):
-        cache = ResultCache(capacity=2)
-        cache.put("fpA", "v1", "a")
-        cache.put("fpA", "v1", "a-updated")  # refresh, not a new entry
-        key = text_key("text-a")
-        cache.memo_text(key, "fpA")
-        cache.put("fpB", "v1", "b")
-        cache.put("fpC", "v1", "c")  # evicts fpA's only entry
-        assert cache.lookup_text(key) is None
-
-
-class TestMemoBounds:
-    def test_memo_capacity_bounds_unbacked_entries(self):
-        # Texts memoized before any result lands are bounded separately.
-        cache = ResultCache(capacity=4, memo_capacity=10)
-        for i in range(50):
-            cache.memo_text(text_key(f"inflight{i}"), f"fp{i}")
-        assert cache.memo_size <= 10
-
-    def test_invalid_memo_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(capacity=4, memo_capacity=0)
-
-    def test_re_memo_to_new_fingerprint(self):
-        cache = ResultCache(capacity=4)
-        key = text_key("text")
-        cache.memo_text(key, "fpA")
-        cache.memo_text(key, "fpB")
-        assert cache.lookup_text(key) == "fpB"
-        cache.put("fpA", "v1", "a")
-        cache.put("fpB", "v1", "b")
-        # Evict fpB: the memo entry (now pointing at fpB) goes with it.
-        fill(cache, 4, prefix="filler")
-        assert cache.lookup_text(key) is None
-
-    def test_clear_drops_everything(self):
-        cache = ResultCache(capacity=4)
-        cache.put("fp", "v1", "r")
-        cache.memo_text(text_key("t"), "fp")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.memo_size == 0
-        assert cache.get("fp", "v1") is None
+        text = print_module(
+            generate_program(ProgramProfile(name="key", seed=5, segments=1))
+        )
+        with OptimizationService.from_agent(
+            PosetRL(seed=0), batch_window_s=0.001
+        ) as svc:
+            old = svc.optimize(text)
+            svc.registry.register(
+                PosetRL(seed=1).agent.online, action_space="odg",
+                version="v2",
+            )
+            svc.registry.activate("v2")
+            new = svc.optimize(text)
+        cache = svc.result_cache
+        assert len(cache) == 2
+        assert cache.peek((old.fingerprint, "v1")).model_version == "v1"
+        assert cache.peek((new.fingerprint, "v2")).model_version == "v2"
+        assert cache.peek((old.fingerprint, "v3")) is None

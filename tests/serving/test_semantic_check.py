@@ -103,7 +103,7 @@ class TestSemanticCheck:
     def test_verified_results_are_memoized(self, broken_policy_service):
         with broken_policy_service(semantic_check=True) as svc:
             first = svc.optimize(SUB_TEXT, name="a")
-            memo_after_first = len(svc._sem_verified)
+            memo_after_first = len(svc._checked)
             second = svc.optimize(SUB_TEXT, name="b")
         # Both fell back; the miscompiled fingerprint is never memoized
         # as verified.
@@ -126,7 +126,7 @@ class TestSemanticCheck:
         )
         with svc:
             svc.optimize(SUB_TEXT, name="first")
-            assert len(svc._sem_verified) == 1
+            assert len(svc._checked) == 1
             # A repeat of the same module hits the result cache (or the
             # memo); either way equivalence is not recomputed.
             import repro.testing.oracle as oracle_mod

@@ -1,8 +1,14 @@
 """Optimization service: correctness, result cache, robustness guard."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro import PosetRL
+from repro.core.environment import PhaseOrderingEnv
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.ir.verifier import VerificationError, verify_module
@@ -81,6 +87,7 @@ class TestBasicServing:
         assert svc.counters["batched_steps"] == agent.episode_length
         assert "v1" in stats["models"]
         assert "result_cache" in stats
+        assert stats["admission"]["size"] == 1
         assert "odg" in stats["metrics"]
 
     def test_submit_after_stop_raises(self, agent, texts):
@@ -152,6 +159,92 @@ class TestResultCache:
             result = svc.optimize(texts[0])
         assert not result.cache_hit
         assert svc.result_cache is None
+
+
+class TestBoundedMemory:
+    def test_admission_cache_bounds_retained_modules(self, agent,
+                                                      monkeypatch):
+        """Without a result cache (the learning loop's setting), the
+        service keeps at most ``ADMISSION_CACHE_SIZE`` parsed modules and
+        no environment once stopped; an evicted text is parsed again and
+        answered as before."""
+        monkeypatch.setattr(service_mod, "ADMISSION_CACHE_SIZE", 4)
+        parsed, envs = [], []
+        real_parse = service_mod.parse_module
+
+        def tracking_parse(text):
+            module = real_parse(text)
+            parsed.append(weakref.ref(module))
+            return module
+
+        class TrackedEnv(PhaseOrderingEnv):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                envs.append(weakref.ref(self))
+
+        monkeypatch.setattr(service_mod, "parse_module", tracking_parse)
+        monkeypatch.setattr(service_mod, "PhaseOrderingEnv", TrackedEnv)
+        programs = [
+            print_module(generate_program(
+                ProgramProfile(name=f"mem{i}", seed=200 + i, segments=1)
+            ))
+            for i in range(12)
+        ]
+        svc = make_service(agent, result_cache_size=None).start()
+        first = [svc.optimize(text) for text in programs]
+        again = svc.optimize(programs[0])
+        svc.stop()
+        gc.collect()
+        assert [r.status for r in first] == ["ok"] * 12
+        assert len(parsed) == 13  # the evicted first text, parsed again
+        assert sum(ref() is not None for ref in parsed) <= 4
+        assert envs and all(ref() is None for ref in envs)
+        assert again.ok
+        assert again.report() == first[0].report()
+
+    def test_cache_churn_under_concurrent_clients(self, agent, texts,
+                                                   monkeypatch):
+        """More client threads than cores over caches smaller than the
+        working set: every answer matches its text's first, and the
+        locked counters lose no update."""
+        monkeypatch.setattr(service_mod, "ADMISSION_CACHE_SIZE", 2)
+        pool = texts + ["; variant\n" + t for t in texts]
+        n_threads, per_thread = 6, 8
+        results = [[] for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_service(agent, result_cache_size=2,
+                              include_ir=False) as svc:
+                def client(i):
+                    for j in range(per_thread):
+                        k = (i + j) % len(pool)
+                        results[i].append((k, svc.submit(pool[k])))
+
+                threads = [threading.Thread(target=client, args=(i,))
+                           for i in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                answers = [(k, f.result(timeout=60))
+                           for rows in results for k, f in rows]
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        n = n_threads * per_thread
+        assert [r.status for _, r in answers] == ["ok"] * n
+        first = {}
+        for k, r in answers:
+            report = first.setdefault(k % len(texts), r.report())
+            assert r.report() == report
+        admission, cached = stats["admission"], stats["result_cache"]
+        assert admission["hits"] + admission["misses"] == n
+        assert admission["size"] <= 2 and cached["size"] <= 2
+        assert cached["hits"] + cached["misses"] == n
+        assert svc.counters["requests"] == n
+        assert svc.counters["ok"] + svc.counters["cache_hits"] == n
 
 
 class TestGuard:
