@@ -16,7 +16,7 @@ from .memdep import may_alias, written_pointer
 
 
 class ReachingStores:
-    """For each load, the set of stores that may reach it."""
+    """For each load, the stores that may reach it, in instruction order."""
 
     def __init__(self, fn: Function):
         self.fn = fn
@@ -69,14 +69,16 @@ class ReachingStores:
                     out_sets[bid] = out_set
                     changed = True
 
-        # Per-load resolution: walk the block applying kills.
+        # Per-load resolution: walk the block applying kills. A load's
+        # stores are listed in instruction order.
+        position = {sid: k for k, sid in enumerate(store_ids)}
         for block in fn.blocks:
             live: Set[int] = set(in_sets[id(block)])
             for inst in block.instructions:
                 if isinstance(inst, Load):
                     self.reaching[id(inst)] = [
                         store_ids[sid]
-                        for sid in live
+                        for sid in sorted(live, key=position.__getitem__)
                         if may_alias(store_ids[sid].pointer, inst.pointer)
                     ]
                 elif isinstance(inst, Store):
@@ -86,4 +88,5 @@ class ReachingStores:
                     live.add(id(inst))
 
     def stores_for(self, load: Load) -> List[Store]:
+        """The stores that may reach ``load``, in instruction order."""
         return self.reaching.get(id(load), [])

@@ -102,12 +102,11 @@ class PhaseOrderingEnv:
         # fingerprints are computed once here and threaded through every
         # consumer.
         base_fps = self.metrics.function_fingerprints(module)
-        self.base_size = self.metrics.size(module, base_fps).total_bytes
-        self.base_throughput = self.metrics.throughput(
-            module, base_fps
-        ).throughput
+        base = self.metrics.measure(module, base_fps)
+        self.base_size = base.size
+        self.base_throughput = base.throughput
         self._base_fingerprint = self.metrics.fingerprint(module, base_fps)
-        self._base_state = self.metrics.embedding(module, base_fps)
+        self._base_state = base.embedding
         self._base_state.setflags(write=False)
         self.reset()
 

@@ -173,26 +173,41 @@ class IR2VecEncoder:
     def flat_function_embedding(self, ff: FlatFunction) -> np.ndarray:
         """The object embedding as array kernels over a flat view.
 
-        Seeds are one gather + scaled adds in canonical operand-kind
-        order; the flow pass adds ``W_FLOW * seeds[src]`` to each
-        destination round by round (destinations are unique within a
-        round, and a destination's contributions arrive in its original
+        Instructions with the same opcode, type kind and operand-kind
+        counts have the same seed, so each distinct seed is computed once
+        — one gather + scaled adds in canonical operand-kind order — and
+        gathered per instruction. The flow pass adds ``W_FLOW * seed`` to
+        each destination round by round (destinations are unique within
+        a round, and a destination's contributions arrive in its original
         operand order — the same float-op sequence as the scalar loop);
         the liveness-weighted reduction is the shared
         :func:`_weighted_reduce`. Bit-identical to
         :meth:`_compute_function_embedding` by construction.
         """
         opm, tym, kindm = self._flat_matrices()
-        seeds = opm[ff.opcodes]  # the gather materializes the accumulator
-        seeds += tym[ff.type_kinds]
+        key = np.empty((ff.n_inst, 2 + len(OPERAND_KINDS)), np.int64)
+        key[:, 0] = ff.opcodes
+        key[:, 1] = ff.type_kinds
+        key[:, 2:] = ff.kind_counts
+        _, first, seed_of = np.unique(
+            key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+        seeds = opm[ff.opcodes[first]]  # the gather makes the accumulator
+        seeds += tym[ff.type_kinds[first]]
+        counts = ff.kind_counts[first]
         for k in range(kindm.shape[0]):
-            seeds += ff.kind_counts[:, k, None] * kindm[k]
+            seeds += counts[:, k, None] * kindm[k]
 
-        flowed = seeds.copy()
-        offs = ff.round_offsets
-        for r in range(len(offs) - 1):
-            s, e = offs[r], offs[r + 1]
-            flowed[ff.flow_dst[s:e]] += W_FLOW * seeds[ff.flow_src[s:e]]
+        flowed = seeds[seed_of]
+        offs = ff.round_offsets.tolist()
+        if len(offs) > 1:
+            flow_seeds = W_FLOW * seeds
+            src = seed_of[ff.flow_src]
+            for r in range(len(offs) - 1):
+                s, e = offs[r], offs[r + 1]
+                flowed[ff.flow_dst[s:e]] += flow_seeds[src[s:e]]
 
         weights = 1.0 + W_LIVE * ff.live_across
         weights[ff.is_void] = 1.0

@@ -7,11 +7,13 @@ operand-kind counts, block boundaries as offset arrays), the lowered
 machine-op stream as per-block count matrices, dependence structure as
 CSR adjacency, and the analysis results every metric consumer reads
 (block frequencies, liveness spans, reaching-store flow edges). The
-metric kernels — :func:`repro.codegen.objfile.flat_function_text_size`,
+build walks the IR once, and computes those analyses on the integer CFG
+that walk gathers; the object analyses in :mod:`repro.analysis` compute
+the same results and are the tests' oracle. The metric kernels —
+:func:`repro.codegen.objfile.flat_function_text_size`,
 :func:`repro.mca.sched.flat_analyze_function` and
 :meth:`repro.embeddings.ir2vec.IR2VecEncoder.flat_function_embedding` —
-run as array code over these views instead of per-instruction Python
-walks.
+run over these views instead of per-instruction walks of the object IR.
 
 Views are transient. The metrics engine (:mod:`repro.core.metrics`)
 builds one when its fingerprint-keyed record cache misses on a function,
@@ -30,7 +32,7 @@ IEEE-754 operations (see the kernel comments in the consumer modules).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +40,9 @@ from .instructions import (
     Alloca,
     Branch,
     Call,
-    Instruction,
     Load,
     Phi,
+    Store,
     Switch,
 )
 from .module import BasicBlock, Function
@@ -217,88 +219,139 @@ class FlatFunction:
 def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
     """Flatten one function definition for ``descriptor``/``model``.
 
-    One pass over the instruction stream interns codes, counts operand
-    kinds, lowers to machine ops and records dependence structure; the
-    block-frequency, reaching-store and (vectorized) liveness analyses run
-    once here so the per-measurement kernels are pure array code.
+    One walk over the instruction stream interns codes, counts operand
+    kinds, lowers to machine ops and records dependence structure, flow
+    edges, the integer CFG and per-block liveness and memory summaries —
+    all into Python lists and ints, converted to numpy once at the end.
+    Block frequencies, liveness and reaching stores then run on the index
+    CFG (:func:`_block_frequencies`, :func:`_liveness`,
+    :func:`_reaching_stores`), so the kernels never touch the object IR.
+    The object analyses in :mod:`repro.analysis` compute the same results
+    and are the tests' oracle.
     """
     # Lazy imports: these modules import repro.ir themselves.
-    from ..analysis.blockfreq import BlockFrequency
-    from ..analysis.reaching import ReachingStores
     from ..codegen.isel import lower_instruction
     from ..mca.sched import COND_BRANCH_OVERHEAD
 
     blocks = fn.blocks
     n_blocks = len(blocks)
-    insts: List[Instruction] = []
-    index_of: Dict[int, int] = {}
     block_index: Dict[int, int] = {}
-    block_offsets = np.empty(n_blocks + 1, np.int64)
+    index_of: Dict[int, int] = {}
+    offsets = [0]
     for bi, block in enumerate(blocks):
         block_index[id(block)] = bi
-        block_offsets[bi] = len(insts)
         for inst in block.instructions:
-            index_of[id(inst)] = len(insts)
-            insts.append(inst)
-    n_inst = len(insts)
-    block_offsets[n_blocks] = n_inst
+            index_of[id(inst)] = len(index_of)
+        offsets.append(len(index_of))
+    n_inst = len(index_of)
 
-    opcodes = np.empty(n_inst, np.int32)
-    type_kinds = np.empty(n_inst, np.int32)
-    is_phi = np.zeros(n_inst, bool)
-    is_void = np.zeros(n_inst, bool)
-    kind_counts = np.zeros((n_inst, len(OPERAND_KINDS)))
-    inst_latency = np.zeros(n_inst)
-    block_mop_counts = np.zeros((n_blocks, N_MACHINE_OPS), np.int64)
-    overheads = np.zeros(n_blocks)
-
-    use_m = np.zeros((n_blocks, n_inst), bool)
-    def_m = np.zeros((n_blocks, n_inst), bool)
-    phi_use_m = np.zeros((n_blocks, n_inst), bool)
-    succ_lists: List[List[int]] = []
-
-    dep_lists: List[Optional[List[int]]] = [None] * n_inst
-    rec_candidates: List[Tuple[int, int]] = []  # (block, source inst)
-    call_edges: List[Tuple[str, float]] = []
+    opcodes: List[int] = []
+    type_kinds: List[int] = []
+    is_phi: List[bool] = []
+    is_void: List[bool] = []
+    local_def: List[bool] = []  # phi or non-void: a def the block sees
+    inst_latency = [0.0] * n_inst
+    kind_cells: List[int] = []  # i * 6 + operand kind, one per operand
+    mop_cells: List[int] = []  # block * N_MACHINE_OPS + op code, one per op
+    # Flow edges (IR2Vec level 1): destination, source, and the edge's
+    # ordinal among its destination's edges.
+    flow_dst: List[int] = []
+    flow_src: List[int] = []
+    flow_occ: List[int] = []
+    # Non-phi instructions grouped by position within their block, with
+    # their same-block latency dependences.
+    waves: List[List[int]] = []
+    wave_dep_lists: List[List[Sequence[int]]] = []
+    rec_candidates: List[Tuple[int, int]] = []  # (block, phi source)
+    succs: List[List[int]] = []
+    probs: List[List[float]] = []
+    overheads = [0.0] * n_blocks
+    use_bits = [0] * n_blocks
+    def_bits = [0] * n_blocks
+    phi_bits = [0] * n_blocks
+    # Memory events per block for reaching stores, in instruction order:
+    # ``(store ordinal, None, 0)`` or ``(load index, load, number of its
+    # operand flow edges)``.
+    mem_events: List[List[Tuple[int, Optional[Load], int]]] = []
+    store_insts: List[int] = []
+    store_ptrs: List[Value] = []
+    n_loads = 0
     call_sites: List[Tuple[str, int]] = []
     has_alloca = False
 
     lat_vals = latency_row(model).tolist()
     opc_cache: Dict[str, int] = {}
     ty_cache: Dict[int, Tuple[Type, int, bool]] = {}
+    kind_cache: Dict[type, int] = {}  # operand class -> kind code
 
     i = 0
     for bi, block in enumerate(blocks):
-        d_local: set = set()
-        block_start = int(block_offsets[bi])
+        start = i
+        use = 0
+        defs = 0
+        events: List[Tuple[int, Optional[Load], int]] = []
         for inst in block.instructions:
+            cls = type(inst)
             opcode = inst.opcode
             code = opc_cache.get(opcode)
             if code is None:
-                code = OPCODE_TABLE.code(opcode)
-                opc_cache[opcode] = code
-            opcodes[i] = code
+                code = opc_cache[opcode] = OPCODE_TABLE.code(opcode)
+            opcodes.append(code)
             ty = inst.type
             entry = ty_cache.get(id(ty))
             if entry is None:
                 entry = (ty, TYPE_KIND_TABLE.code(type_kind_name(ty)), ty.is_void)
                 ty_cache[id(ty)] = entry
-            type_kinds[i] = entry[1]
+            type_kinds.append(entry[1])
             void = entry[2]
-            is_void[i] = void
+            is_void.append(void)
+            phi = cls is Phi
+            is_phi.append(phi)
+            local_def.append(phi or not void)
 
-            row = kind_counts[i]
-            for op in inst.operands:
-                row[operand_kind_code(op)] += 1.0
+            # ``_operands`` is the operand list the ``operands`` property
+            # copies; the walk only reads it.
+            ops = inst._operands
+            base = i * 6
+            occ = 0
+            deps: Sequence[int] = ()  # a list once the first dep shows up
+            for op in ops:
+                kind = kind_cache.get(type(op))
+                if kind is None:
+                    kind = kind_cache[type(op)] = operand_kind_code(op)
+                kind_cells.append(base + kind)
+                if kind != 2:
+                    continue
+                j = index_of.get(id(op))
+                if j is None:
+                    continue
+                flow_dst.append(i)
+                flow_src.append(j)
+                flow_occ.append(occ)
+                occ += 1
+                if phi:
+                    continue
+                if start <= j < i:
+                    # A def earlier in the block: not upward-exposed, and
+                    # the block latency chain runs through it unless it
+                    # is a phi (available at 0.0).
+                    if not local_def[j]:
+                        use |= 1 << j
+                    if not is_phi[j]:
+                        if deps:
+                            deps.append(j)
+                        else:
+                            deps = [j]
+                else:
+                    use |= 1 << j
 
             mops = lower_instruction(inst, descriptor)
-            phi = type(inst) is Phi
             if mops:
-                brow = block_mop_counts[bi]
+                cell = bi * N_MACHINE_OPS
                 lat = 0.0
                 for m in mops:
                     mc = _MOP_CODE[m]
-                    brow[mc] += 1
+                    mop_cells.append(cell + mc)
                     l = lat_vals[mc]
                     if l > lat:
                         lat = l
@@ -308,196 +361,476 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
                     inst_latency[i] = lat
 
             if phi:
-                is_phi[i] = True
-                for value, pred in inst.incoming():
-                    j = index_of.get(id(value))
-                    if j is not None:
-                        pbi = block_index.get(id(pred))
-                        if pbi is not None:
-                            phi_use_m[pbi, j] = True
-                        if pred is block:
-                            rec_candidates.append((bi, j))
-                d_local.add(i)
+                for p in range(0, len(ops) - 1, 2):
+                    j = index_of.get(id(ops[p]))
+                    if j is None:
+                        continue
+                    pred = ops[p + 1]
+                    pbi = block_index.get(id(pred))
+                    if pbi is not None:
+                        phi_bits[pbi] |= 1 << j
+                    if pred is block:
+                        rec_candidates.append((bi, j))
+                defs |= 1 << i
             else:
-                if type(inst) is Alloca:
+                pos = i - start
+                while len(waves) <= pos:
+                    waves.append([])
+                    wave_dep_lists.append([])
+                waves[pos].append(i)
+                wave_dep_lists[pos].append(deps)
+                if cls is Load:
+                    events.append((i, inst, occ))
+                    n_loads += 1
+                elif cls is Store:
+                    events.append((len(store_insts), None, 0))
+                    store_insts.append(i)
+                    store_ptrs.append(ops[1])
+                elif cls is Alloca:
                     has_alloca = True
-                elif type(inst) is Call:
+                elif cls is Call:
                     callee = inst.called_function
                     if callee is not None and not callee.is_intrinsic:
                         call_sites.append((callee.name, bi))
-                deps: List[int] = []
-                for op in inst.operands:
-                    j = index_of.get(id(op))
-                    if j is None:
-                        continue
-                    # Upward-exposed use: mirrors the scan-order `not in
-                    # defs-so-far` test of the object Liveness analysis.
-                    if j not in d_local:
-                        use_m[bi, j] = True
-                    # Same-block, already-scheduled, non-phi def: the only
-                    # operands the block latency chain propagates through.
-                    if block_start <= j < i and not is_phi[j]:
-                        deps.append(j)
-                dep_lists[i] = deps
                 if not void:
-                    d_local.add(i)
+                    defs |= 1 << i
             i += 1
 
-        for j in d_local:
-            def_m[bi, j] = True
+        use_bits[bi] = use
+        def_bits[bi] = defs
+        mem_events.append(events)
+        succ = [block_index[id(s)] for s in block.successors()]
+        succs.append(succ)
         term = block.terminator
         if isinstance(term, Branch) and term.is_conditional:
             overheads[bi] = COND_BRANCH_OVERHEAD
-        elif isinstance(term, Switch):
-            overheads[bi] = COND_BRANCH_OVERHEAD * max(1, term.num_cases)
-        succ_lists.append(
-            [block_index[id(s)] for s in block.successors()]
+            weights = term.meta.get("branch_weights")
+            if isinstance(weights, (list, tuple)) and len(weights) == 2:
+                total = float(weights[0] + weights[1]) or 1.0
+                probs.append([float(w) / total for w in weights])
+            else:
+                probs.append([0.5, 0.5])
+        else:
+            if isinstance(term, Switch):
+                overheads[bi] = COND_BRANCH_OVERHEAD * max(1, term.num_cases)
+            probs.append([1.0 / len(succ)] * len(succ) if succ else [])
+
+    # Predecessors without repeats, in layout order (predecessors_map).
+    preds: List[List[int]] = [[] for _ in range(n_blocks)]
+    for bi, succ in enumerate(succs):
+        for s in succ:
+            if not preds[s] or preds[s][-1] != bi:
+                preds[s].append(bi)
+    if n_loads and store_insts:
+        _reaching_stores(
+            mem_events, preds, store_insts, store_ptrs,
+            flow_dst, flow_src, flow_occ,
         )
+    live_across, max_pressure = _liveness(
+        succs, use_bits, def_bits, phi_bits, n_inst
+    )
+    freqs = _block_frequencies(blocks, succs, preds, probs)
 
-    block_sizes = np.diff(block_offsets)
-    block_of = np.repeat(np.arange(n_blocks, dtype=np.int64), block_sizes)
-
+    block_mop_counts = np.bincount(
+        np.array(mop_cells, np.int64), minlength=n_blocks * N_MACHINE_OPS
+    ).reshape(n_blocks, N_MACHINE_OPS)
+    wave_insts = [j for wave in waves for j in wave]
+    wave_offsets = [0]
+    for wave in waves:
+        wave_offsets.append(wave_offsets[-1] + len(wave))
+    wave_dep_offsets = [0]
+    wave_deps: List[int] = []
+    for dep_lists in wave_dep_lists:
+        for deps in dep_lists:
+            wave_deps.extend(deps)
+            wave_dep_offsets.append(len(wave_deps))
     # Loop-carried recurrence sources: same-block non-phi defs feeding a
     # phi of the block (other sources contribute 0.0 in the scalar loop).
     rec_lists: List[List[int]] = [[] for _ in range(n_blocks)]
     for bi, j in rec_candidates:
-        if block_of[j] == bi and not is_phi[j]:
+        if offsets[bi] <= j < offsets[bi + 1] and not is_phi[j]:
             rec_lists[bi].append(j)
-    rec_offsets = np.zeros(n_blocks + 1, np.int64)
-    for bi in range(n_blocks):
-        rec_offsets[bi + 1] = rec_offsets[bi] + len(rec_lists[bi])
-    rec_idx = np.array(
-        [j for lst in rec_lists for j in lst], np.int64
-    )
-
-    block_uops = block_mop_counts.sum(axis=1)
-    fn_mop_counts = block_mop_counts.sum(axis=0)
-
-    # Wavefronts: position-within-block groups. All deps of an
-    # instruction at position p sit at positions < p, so processing one
-    # position across every block at a time finalizes finish times in
-    # dependency order.
-    pos = np.arange(n_inst, dtype=np.int64) - block_offsets[block_of]
-    nonphi = np.nonzero(~is_phi)[0]
-    if len(nonphi):
-        wave_insts = nonphi[np.argsort(pos[nonphi], kind="stable")]
-        wave_pos = pos[wave_insts]
-        n_waves = int(wave_pos[-1]) + 1
-        wave_offsets = np.searchsorted(wave_pos, np.arange(n_waves + 1))
-    else:  # pragma: no cover - a definition always has a terminator
-        wave_insts = nonphi
-        wave_offsets = np.zeros(1, np.int64)
-    wave_dep_offsets = np.empty(len(wave_insts) + 1, np.int64)
-    wave_dep_offsets[0] = 0
-    wave_dep_parts: List[int] = []
-    for k, idx in enumerate(wave_insts.tolist()):
-        deps = dep_lists[idx]
-        if deps:
-            wave_dep_parts.extend(deps)
-            wave_dep_offsets[k + 1] = wave_dep_offsets[k] + len(deps)
-        else:
-            wave_dep_offsets[k + 1] = wave_dep_offsets[k]
-    wave_deps = np.array(wave_dep_parts, np.int64)
-
-    # Flow edges (IR2Vec level 1): per instruction, SSA-def operands in
-    # operand order, then reaching stores for loads, in the order the
-    # object analysis yields them — the scalar loop sums in exactly this
-    # sequence. Edges are regrouped into "rounds" (k-th contribution of
-    # every destination) so the kernel adds with plain fancy indexing —
-    # destinations are unique within a round, and per-destination order
-    # is preserved across rounds.
-    reaching = ReachingStores(fn)
-    flow_dst_l: List[int] = []
-    flow_src_l: List[int] = []
-    occ_l: List[int] = []
-    for i, inst in enumerate(insts):
-        k = 0
-        for op in inst.operands:
-            j = index_of.get(id(op))
-            if j is not None:
-                flow_dst_l.append(i)
-                flow_src_l.append(j)
-                occ_l.append(k)
-                k += 1
-        if type(inst) is Load:
-            for store in reaching.stores_for(inst):
-                j = index_of.get(id(store))
-                if j is not None:
-                    flow_dst_l.append(i)
-                    flow_src_l.append(j)
-                    occ_l.append(k)
-                    k += 1
-    if flow_dst_l:
-        flow_dst = np.array(flow_dst_l, np.int64)
-        flow_src = np.array(flow_src_l, np.int64)
-        occ = np.array(occ_l, np.int64)
-        order = np.argsort(occ, kind="stable")
-        flow_dst = flow_dst[order]
-        flow_src = flow_src[order]
-        occ = occ[order]
-        n_rounds = int(occ[-1]) + 1
-        round_offsets = np.searchsorted(occ, np.arange(n_rounds + 1))
-    else:
-        flow_dst = np.empty(0, np.int64)
-        flow_src = np.empty(0, np.int64)
-        round_offsets = np.zeros(1, np.int64)
-
-    # Vectorized liveness: the boolean-matrix fixpoint converges to the
-    # same (unique, least) fixpoint as the object analysis' set version.
-    live_in = np.zeros((n_blocks, n_inst), bool)
-    live_out = np.zeros((n_blocks, n_inst), bool)
-    changed = True
-    while changed:
-        changed = False
-        for bi in range(n_blocks - 1, -1, -1):
-            out = phi_use_m[bi].copy()
-            for si in succ_lists[bi]:
-                np.logical_or(out, live_in[si], out=out)
-            new_in = use_m[bi] | (out & ~def_m[bi])
-            if not np.array_equal(out, live_out[bi]) or not np.array_equal(
-                new_in, live_in[bi]
-            ):
-                live_out[bi] = out
-                live_in[bi] = new_in
-                changed = True
-    live_across = live_in.sum(axis=0, dtype=np.int64).astype(np.float64)
-    max_pressure = (
-        int(live_out.sum(axis=1).max()) if n_blocks else 0
-    )
-
-    freq = BlockFrequency(fn)
-    freqs = np.array([freq.frequency(b) for b in blocks])
-    for callee, bi in call_sites:
-        call_edges.append((callee, float(freqs[bi])))
+    rec_offsets = [0]
+    for lst in rec_lists:
+        rec_offsets.append(rec_offsets[-1] + len(lst))
 
     ff = FlatFunction()
     ff.name = fn.name
     ff.n_inst = n_inst
     ff.n_blocks = n_blocks
     ff.block_names = [b.name for b in blocks]
-    ff.block_offsets = block_offsets
-    ff.opcodes = opcodes
-    ff.type_kinds = type_kinds
-    ff.is_phi = is_phi
-    ff.is_void = is_void
-    ff.kind_counts = kind_counts
-    ff.block_uops = block_uops
+    ff.block_offsets = np.array(offsets, np.int64)
+    ff.opcodes = np.array(opcodes, np.int32)
+    ff.type_kinds = np.array(type_kinds, np.int32)
+    ff.is_phi = np.array(is_phi, bool)
+    ff.is_void = np.array(is_void, bool)
+    ff.kind_counts = np.bincount(
+        np.array(kind_cells, np.int64), minlength=n_inst * len(OPERAND_KINDS)
+    ).reshape(n_inst, len(OPERAND_KINDS)).astype(np.float64)
+    ff.block_uops = block_mop_counts.sum(axis=1)
     ff.block_mop_counts = block_mop_counts
-    ff.fn_mop_counts = fn_mop_counts
-    ff.inst_latency = inst_latency
-    ff.wave_insts = wave_insts
-    ff.wave_offsets = wave_offsets
-    ff.wave_deps = wave_deps
-    ff.wave_dep_offsets = wave_dep_offsets
-    ff.rec_idx = rec_idx
-    ff.rec_offsets = rec_offsets
-    ff.overheads = overheads
-    ff.freqs = freqs
-    ff.flow_dst = flow_dst
-    ff.flow_src = flow_src
-    ff.round_offsets = round_offsets
+    ff.fn_mop_counts = block_mop_counts.sum(axis=0)
+    ff.inst_latency = np.array(inst_latency, np.float64)
+    ff.wave_insts = np.array(wave_insts, np.int64)
+    ff.wave_offsets = np.array(wave_offsets, np.int64)
+    ff.wave_deps = np.array(wave_deps, np.int64)
+    ff.wave_dep_offsets = np.array(wave_dep_offsets, np.int64)
+    ff.rec_idx = np.array(
+        [j for lst in rec_lists for j in lst], np.int64
+    )
+    ff.rec_offsets = np.array(rec_offsets, np.int64)
+    ff.overheads = np.array(overheads, np.float64)
+    ff.freqs = np.array(freqs, np.float64)
+    # Flow edges regrouped into "rounds" (the k-th contribution of every
+    # destination) so the embedding kernel adds with plain fancy
+    # indexing: destinations are unique within a round, in instruction
+    # order, and a destination's contributions keep their operand-then-
+    # reaching-store order across rounds — the scalar loop's sequence.
+    if flow_dst:
+        dst = np.array(flow_dst, np.int64)
+        occ = np.array(flow_occ, np.int64)
+        order = np.lexsort((dst, occ))
+        occ = occ[order]
+        ff.flow_dst = dst[order]
+        ff.flow_src = np.array(flow_src, np.int64)[order]
+        ff.round_offsets = np.searchsorted(occ, np.arange(int(occ[-1]) + 2))
+    else:
+        ff.flow_dst = np.empty(0, np.int64)
+        ff.flow_src = np.empty(0, np.int64)
+        ff.round_offsets = np.zeros(1, np.int64)
     ff.live_across = live_across
     ff.max_pressure = max_pressure
     ff.has_alloca = has_alloca
-    ff.call_edges = call_edges
+    ff.call_edges = [(callee, freqs[bi]) for callee, bi in call_sites]
     return ff
+
+
+# -- analyses on the index CFG ----------------------------------------------
+#
+# Blocks are numbered in layout order. ``succs[b]`` lists the successor
+# block numbers in terminator order, duplicates kept; ``preds[b]`` the
+# predecessors in layout order, without repeats. Each function computes
+# what its object counterpart in :mod:`repro.analysis` computes, visiting
+# blocks and edges in the same order wherever the result depends on it.
+
+
+def _reaching_stores(
+    mem_events: List[List[Tuple[int, Optional[Load], int]]],
+    preds: List[List[int]],
+    store_insts: List[int],
+    store_ptrs: List[Value],
+    flow_dst: List[int],
+    flow_src: List[int],
+    flow_occ: List[int],
+) -> None:
+    """:class:`~repro.analysis.reaching.ReachingStores` over bitsets of
+    store ordinals; appends each load's reaching stores, in instruction
+    order, to the flow edges after its operand edges."""
+    from ..analysis.memdep import may_alias
+
+    # Stores through the same pointer value kill each other.
+    same_ptr: Dict[int, int] = {}
+    for s, ptr in enumerate(store_ptrs):
+        same_ptr[id(ptr)] = same_ptr.get(id(ptr), 0) | (1 << s)
+    kill_of = [same_ptr[id(ptr)] for ptr in store_ptrs]
+
+    n_blocks = len(preds)
+    gen = [0] * n_blocks
+    kill = [0] * n_blocks
+    for b, events in enumerate(mem_events):
+        g = k = 0
+        for s, load, _ in events:
+            if load is None:
+                bit = 1 << s
+                others = kill_of[s] & ~bit
+                k |= others
+                g = (g & ~others) | bit
+        gen[b] = g
+        kill[b] = k
+
+    in_bits = [0] * n_blocks
+    out_bits = [0] * n_blocks
+    changed = True
+    while changed:
+        changed = False
+        for b in range(n_blocks):
+            in_b = 0
+            for p in preds[b]:
+                in_b |= out_bits[p]
+            out_b = gen[b] | (in_b & ~kill[b])
+            if in_b != in_bits[b] or out_b != out_bits[b]:
+                in_bits[b] = in_b
+                out_bits[b] = out_b
+                changed = True
+
+    for b, events in enumerate(mem_events):
+        live = in_bits[b]
+        for idx, load, occ in events:
+            if load is None:
+                live = (live & ~kill_of[idx]) | (1 << idx)
+                continue
+            ptr = load._operands[0]
+            reaching = live
+            while reaching:
+                low = reaching & -reaching
+                s = low.bit_length() - 1
+                reaching ^= low
+                if may_alias(store_ptrs[s], ptr):
+                    flow_dst.append(idx)
+                    flow_src.append(store_insts[s])
+                    flow_occ.append(occ)
+                    occ += 1
+
+
+def _liveness(
+    succs: List[List[int]],
+    use_bits: List[int],
+    def_bits: List[int],
+    phi_bits: List[int],
+    n_inst: int,
+) -> Tuple[np.ndarray, int]:
+    """:class:`~repro.analysis.liveness.Liveness` over per-block bitsets
+    of instruction indices: ``(live_across, max_pressure)``.
+
+    The fixpoint is the unique least one, whatever the visit order."""
+    n_blocks = len(succs)
+    live_in = [0] * n_blocks
+    live_out = [0] * n_blocks
+    changed = True
+    while changed:
+        changed = False
+        for b in range(n_blocks - 1, -1, -1):
+            out = phi_bits[b]
+            for s in succs[b]:
+                out |= live_in[s]
+            new_in = use_bits[b] | (out & ~def_bits[b])
+            if out != live_out[b] or new_in != live_in[b]:
+                live_out[b] = out
+                live_in[b] = new_in
+                changed = True
+
+    # Blocks each value is live into: unpack the live-in bitsets a chunk
+    # of blocks at a time, so no n_blocks x n_inst matrix is built.
+    n_bytes = (n_inst + 7) // 8
+    live_across = np.zeros(n_inst, np.int64)
+    chunk = max(1, (1 << 16) // max(n_bytes, 1))
+    for c in range(0, n_blocks, chunk):
+        rows = [x for x in live_in[c : c + chunk] if x]
+        if not rows:
+            continue
+        packed = np.frombuffer(
+            b"".join(x.to_bytes(n_bytes, "little") for x in rows), np.uint8
+        ).reshape(len(rows), n_bytes)
+        live_across += np.unpackbits(
+            packed, axis=1, count=n_inst, bitorder="little"
+        ).sum(axis=0, dtype=np.int64)
+    max_pressure = max((x.bit_count() for x in live_out), default=0)
+    return live_across.astype(np.float64), max_pressure
+
+
+def _postorder(succs: List[List[int]]) -> List[int]:
+    """:func:`~repro.analysis.cfg.postorder`: reachable blocks, DFS from
+    block 0 taking successors in order."""
+    if not succs:
+        return []
+    seen = [False] * len(succs)
+    seen[0] = True
+    order: List[int] = []
+    stack = [(0, iter(succs[0]))]
+    while stack:
+        block, it = stack[-1]
+        for s in it:
+            if not seen[s]:
+                seen[s] = True
+                stack.append((s, iter(succs[s])))
+                break
+        else:
+            order.append(block)
+            stack.pop()
+    return order
+
+
+def _dominators(
+    post: List[int], preds: List[List[int]], n_blocks: int
+) -> List[int]:
+    """Cooper–Harvey–Kennedy immediate dominators
+    (:class:`~repro.analysis.dominators.DominatorTree`); ``-1`` for the
+    entry and for unreachable blocks."""
+    index = [-1] * n_blocks
+    for k, b in enumerate(post):
+        index[b] = k
+    idom = [-1] * n_blocks
+    idom[0] = 0
+    changed = True
+    while changed:
+        changed = False
+        for b in reversed(post):
+            if b == 0:
+                continue
+            new = -1
+            for p in preds[b]:
+                if index[p] < 0 or idom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                b1, b2 = p, new
+                while b1 != b2:
+                    while index[b1] < index[b2]:
+                        b1 = idom[b1]
+                    while index[b2] < index[b1]:
+                        b2 = idom[b2]
+                new = b1
+            if new >= 0 and idom[b] != new:
+                idom[b] = new
+                changed = True
+    idom[0] = -1
+    return idom
+
+
+def _block_frequencies(
+    blocks: List[BasicBlock],
+    succs: List[List[int]],
+    preds: List[List[int]],
+    probs: List[List[float]],
+) -> List[float]:
+    """:class:`~repro.analysis.blockfreq.BlockFrequency` on the index CFG.
+
+    Natural loops are found as :class:`~repro.analysis.loops.LoopInfo`
+    finds them (same loop order, body order, nesting and innermost-loop
+    ties), and the flow propagates in the same float-op order. Trip
+    counts come from :func:`~repro.passes.loops.iv.analyze_loop` on
+    :class:`~repro.analysis.loops.Loop` records built from the result.
+    """
+    from ..analysis.blockfreq import DEFAULT_TRIP_COUNT
+    from ..analysis.loops import Loop
+    from ..passes.loops.iv import analyze_loop
+
+    n_blocks = len(blocks)
+    freq = [0.0] * n_blocks
+    post = _postorder(succs)
+    if not post:
+        return freq
+    idom = _dominators(post, preds, n_blocks)
+    reachable = [False] * n_blocks
+    for b in post:
+        reachable[b] = True
+
+    def dominates(a: int, b: int) -> bool:
+        if not reachable[a]:
+            return False
+        while b >= 0:
+            if b == a:
+                return True
+            b = idom[b]
+        return False
+
+    # Natural loops, in order of their first back edge.
+    headers: List[int] = []
+    bodies: List[List[int]] = []
+    members: List[set] = []
+    latches: List[List[int]] = []
+    loop_of_header: Dict[int, int] = {}
+    for latch in range(n_blocks):
+        if not reachable[latch]:
+            continue
+        for header in succs[latch]:
+            if not dominates(header, latch):
+                continue
+            lp = loop_of_header.get(header)
+            if lp is None:
+                lp = loop_of_header[header] = len(headers)
+                headers.append(header)
+                bodies.append([header])
+                members.append({header})
+                latches.append([])
+            latches[lp].append(latch)
+            body, member = bodies[lp], members[lp]
+            stack = [latch]
+            while stack:
+                b = stack.pop()
+                if b in member:
+                    continue
+                member.add(b)
+                body.append(b)
+                stack.extend(p for p in preds[b] if reachable[p])
+    n_loops = len(headers)
+    parent = [-1] * n_loops
+    for lp in range(n_loops):
+        best = -1
+        for other in range(n_loops):
+            if other == lp or headers[lp] not in members[other]:
+                continue
+            if best < 0 or len(bodies[other]) < len(bodies[best]):
+                best = other
+        parent[lp] = best
+    innermost = [-1] * n_blocks
+    for lp in range(n_loops):
+        for b in bodies[lp]:
+            cur = innermost[b]
+            if cur < 0 or len(bodies[lp]) < len(bodies[cur]):
+                innermost[b] = lp
+    exit_edges = [
+        max(sum(1 for b in bodies[lp] for s in succs[b]
+                if s not in members[lp]), 1)
+        for lp in range(n_loops)
+    ]
+
+    # Acyclic flow in RPO (see BlockFrequency._compute): back edges are
+    # skipped and a loop-exit edge carries the flow that entered the
+    # loop, split across its exit edges.
+    freq[0] = 1.0
+    for b in reversed(post):
+        f = freq[b]
+        lp = innermost[b]
+        if f == 0.0 and lp >= 0:
+            f = freq[b] = 1e-3  # entered only via back edges
+        for k, s in enumerate(succs[b]):
+            if lp >= 0 and s == headers[lp]:
+                continue  # back edge
+            exited = -1
+            node = lp
+            while node >= 0 and s not in members[node]:
+                exited = node
+                node = parent[node]
+            if exited >= 0:
+                freq[s] += freq[headers[exited]] / exit_edges[exited]
+            else:
+                freq[s] += f * probs[b][k]
+
+    if not n_loops:
+        return freq
+    records: List[Loop] = []
+    for lp in range(n_loops):
+        loop = Loop(blocks[headers[lp]])
+        for b in bodies[lp][1:]:
+            loop.add_block(blocks[b])
+        loop.latches = [blocks[b] for b in latches[lp]]
+        records.append(loop)
+    for lp, loop in enumerate(records):
+        if parent[lp] >= 0:
+            loop.parent = records[parent[lp]]
+            loop.parent.children.append(loop)
+    trips: List[float] = []
+    for loop in records:
+        try:
+            bounds = analyze_loop(loop)
+        except Exception:  # pragma: no cover - malformed loops
+            bounds = None
+        if bounds is not None and bounds.trip_count is not None:
+            trips.append(float(min(bounds.trip_count, 10_000)))
+        else:
+            trips.append(DEFAULT_TRIP_COUNT)
+    multiplier = []
+    for lp in range(n_loops):
+        m = 1.0
+        node = lp
+        while node >= 0:
+            m *= trips[node]
+            node = parent[node]
+        multiplier.append(m)
+    for b in range(n_blocks):
+        lp = innermost[b]
+        if lp >= 0:
+            freq[b] = max(freq[b], 1e-3) * multiplier[lp]
+    return freq

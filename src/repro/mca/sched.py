@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ..analysis.blockfreq import BlockFrequency
 from ..analysis.loops import LoopInfo
 from ..ir.flat import FlatFunction, throughput_row
@@ -144,79 +142,67 @@ def analyze_function(
     return FunctionReport(fn.name, cycles, uops, blocks)
 
 
-def _segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment max over a CSR layout; empty segments yield 0.0.
-
-    ``np.maximum.reduceat`` mishandles empty segments (it returns the
-    element *at* the start index), so reduce only over the non-empty
-    starts — dropping an empty segment's (duplicate) start keeps the
-    remaining starts strictly increasing, which is exactly the layout
-    reduceat folds correctly.
-    """
-    n = len(offsets) - 1
-    out = np.zeros(n)
-    sizes = np.diff(offsets)
-    nonempty = sizes > 0
-    if nonempty.any():
-        out[nonempty] = np.maximum.reduceat(values, offsets[:-1][nonempty])
-    return out
-
-
 def flat_analyze_function(ff: FlatFunction, model: PortModel) -> FunctionReport:
-    """:func:`analyze_function` over a flat view, all blocks at once.
+    """:func:`analyze_function` over a flat view.
 
-    Dispatch and resource bounds are row reductions. The latency chain
-    runs as a *wavefront*: instructions grouped by position within their
-    block — every dependence points at a smaller position, so one pass
-    over positions finalizes all blocks' finish times together in
-    dependency order. Bit-identical to the scalar loop: same division
-    (not reciprocal-multiply), same max-fold over the same operands, and
-    the frequency-weighted totals use Python's left-fold ``sum`` over the
-    per-block products, exactly as the object path folds them.
+    The resource bound is one row reduction over the per-block machine-op
+    counts. The latency chain walks the non-phi instructions in wavefront
+    order (by position within their block, so every dependence is
+    finished first) over plain Python floats. Bit-identical to the scalar
+    loop: the same division (not reciprocal-multiply), the same max-fold
+    over the same operands, and the frequency-weighted totals use
+    Python's left-fold ``sum`` over the per-block products, exactly as
+    the object path folds them.
     """
-    dispatch = ff.block_uops / model.dispatch_width
+    n_blocks = ff.n_blocks
     resource = (
-        (ff.block_mop_counts / throughput_row(model)).max(axis=1)
-        if ff.n_blocks
-        else np.zeros(0)
+        (ff.block_mop_counts / throughput_row(model)).max(axis=1).tolist()
+        if n_blocks
+        else []
     )
 
-    finish = np.zeros(ff.n_inst)  # phis stay at 0.0
-    lat = ff.inst_latency
-    deps = ff.wave_deps
-    dep_off = ff.wave_dep_offsets
-    for w in range(len(ff.wave_offsets) - 1):
-        w0, w1 = ff.wave_offsets[w], ff.wave_offsets[w + 1]
-        if w0 == w1:
-            continue
-        idx = ff.wave_insts[w0:w1]
-        s0, s1 = dep_off[w0], dep_off[w1]
-        ready = _segment_max(finish[deps[s0:s1]], dep_off[w0 : w1 + 1] - s0)
-        finish[idx] = ready + lat[idx]
+    finish = [0.0] * ff.n_inst  # phis stay at 0.0
+    lat = ff.inst_latency.tolist()
+    deps = ff.wave_deps.tolist()
+    dep_off = ff.wave_dep_offsets.tolist()
+    for k, i in enumerate(ff.wave_insts.tolist()):
+        ready = 0.0
+        for j in deps[dep_off[k] : dep_off[k + 1]]:
+            if finish[j] > ready:
+                ready = finish[j]
+        finish[i] = ready + lat[i]
 
-    critical = _segment_max(finish, ff.block_offsets)
-    recurrence = _segment_max(finish[ff.rec_idx], ff.rec_offsets)
-    latency_bound = np.maximum(critical / 4.0, recurrence)
-
-    bound = np.maximum(
-        np.maximum(dispatch, resource), np.maximum(latency_bound, 0.25)
-    )
-    cycles = float(sum(((bound + ff.overheads) * ff.freqs).tolist()))
-    uops = float(sum((ff.block_uops * ff.freqs).tolist()))
-
-    blocks = [
-        BlockReport(
-            name=ff.block_names[bi],
-            uops=int(ff.block_uops[bi]),
-            dispatch_bound=float(dispatch[bi]),
-            resource_bound=float(resource[bi]),
-            latency_bound=float(latency_bound[bi]),
-            frequency=float(ff.freqs[bi]),
-            branch_overhead=float(ff.overheads[bi]),
+    offsets = ff.block_offsets.tolist()
+    rec_idx = ff.rec_idx.tolist()
+    rec_off = ff.rec_offsets.tolist()
+    block_uops = ff.block_uops.tolist()
+    freqs = ff.freqs.tolist()
+    overheads = ff.overheads.tolist()
+    width = model.dispatch_width
+    blocks: List[BlockReport] = []
+    cycle_terms: List[float] = []
+    uop_terms: List[float] = []
+    for bi in range(n_blocks):
+        critical = max(finish[offsets[bi] : offsets[bi + 1]], default=0.0)
+        recurrence = max(
+            [finish[j] for j in rec_idx[rec_off[bi] : rec_off[bi + 1]]],
+            default=0.0,
         )
-        for bi in range(ff.n_blocks)
-    ]
-    return FunctionReport(ff.name, cycles, uops, blocks)
+        report = BlockReport(
+            name=ff.block_names[bi],
+            uops=block_uops[bi],
+            dispatch_bound=block_uops[bi] / width,
+            resource_bound=resource[bi],
+            latency_bound=max(critical / 4.0, recurrence),
+            frequency=freqs[bi],
+            branch_overhead=overheads[bi],
+        )
+        blocks.append(report)
+        cycle_terms.append(report.cycles * freqs[bi])
+        uop_terms.append(block_uops[bi] * freqs[bi])
+    return FunctionReport(
+        ff.name, float(sum(cycle_terms)), float(sum(uop_terms)), blocks
+    )
 
 
 def flat_call_counts(ff: FlatFunction) -> Dict[str, float]:

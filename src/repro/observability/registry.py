@@ -37,6 +37,9 @@ LabelValues = Tuple[Tuple[str, str], ...]
 def _label_key(labels: Optional[Mapping[str, str]]) -> LabelValues:
     if not labels:
         return ()
+    if len(labels) == 1:  # the common case: nothing to sort
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -174,10 +177,14 @@ class MetricRegistry:
         self._collect_hooks: List[object] = []
 
     # -- instrument constructors -------------------------------------------
-    def _family(
+    def _child(
         self, name: str, kind: str, help: str,
+        labels: Optional[Mapping[str, str]],
         buckets: Optional[Sequence[float]] = None,
-    ) -> _Family:
+    ):
+        """The ``labels`` child of family ``name``, created on first use
+        (family and child under one lock acquisition)."""
+        key = _label_key(labels)
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -188,51 +195,39 @@ class MetricRegistry:
                     f"metric {name!r} already registered as {family.kind}, "
                     f"cannot re-register as {kind}"
                 )
-            return family
+            child = family.children.get(key)
+            if child is None:
+                if kind == "histogram":
+                    assert family.buckets is not None
+                    child = Histogram(self._lock, family.buckets, key)
+                elif kind == "gauge":
+                    child = Gauge(self._lock, key)
+                else:
+                    child = Counter(self._lock, key)
+                family.children[key] = child
+            return child
 
     def counter(
         self, name: str, help: str = "",
         labels: Optional[Mapping[str, str]] = None,
     ) -> Counter:
-        family = self._family(name, "counter", help)
-        key = _label_key(labels)
-        with self._lock:
-            child = family.children.get(key)
-            if child is None:
-                child = Counter(self._lock, key)
-                family.children[key] = child
-        return child  # type: ignore[return-value]
+        return self._child(name, "counter", help, labels)
 
     def gauge(
         self, name: str, help: str = "",
         labels: Optional[Mapping[str, str]] = None,
     ) -> Gauge:
-        family = self._family(name, "gauge", help)
-        key = _label_key(labels)
-        with self._lock:
-            child = family.children.get(key)
-            if child is None:
-                child = Gauge(self._lock, key)
-                family.children[key] = child
-        return child  # type: ignore[return-value]
+        return self._child(name, "gauge", help, labels)
 
     def histogram(
         self, name: str, help: str = "",
         labels: Optional[Mapping[str, str]] = None,
         buckets: Optional[Sequence[float]] = None,
     ) -> Histogram:
-        family = self._family(
-            name, "histogram", help,
+        return self._child(
+            name, "histogram", help, labels,
             buckets if buckets is not None else DEFAULT_TIME_BUCKETS,
         )
-        key = _label_key(labels)
-        with self._lock:
-            child = family.children.get(key)
-            if child is None:
-                assert family.buckets is not None
-                child = Histogram(self._lock, family.buckets, key)
-                family.children[key] = child
-        return child  # type: ignore[return-value]
 
     def register_collect_hook(self, hook) -> None:
         """Run ``hook()`` before every :meth:`collect`/:meth:`get_value`.

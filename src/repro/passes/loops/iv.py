@@ -110,13 +110,17 @@ def _compute_trip_count(
     # the k-th body execution sees iv = start + (k-1)*step. The returned
     # count is the number of body executions, including the one whose
     # check fails.
-    ty = start.int_type
+    # ty.wrap, inlined: block frequencies run this for every loop.
+    full = 1 << ty.bits
+    sign_max = ty.max_signed if ty.bits > 1 else mask
     iv = s
     for k in range(1, 1 << 16):
-        probe = ty.wrap(iv + step) if compares_next else iv
-        if not check(probe):
+        nxt = (iv + step) & mask
+        if nxt > sign_max:
+            nxt -= full
+        if not check(nxt if compares_next else iv):
             return k
-        iv = ty.wrap(iv + step)
+        iv = nxt
     return None
 
 

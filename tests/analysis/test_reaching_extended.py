@@ -84,3 +84,24 @@ entry:
     fn, loads, stores = loads_and_stores(module)
     reaching = ReachingStores(fn)
     assert stores[0] in reaching.stores_for(loads[0])
+
+
+def test_reaching_stores_listed_in_instruction_order():
+    """A load reached by several stores lists them in instruction order,
+    never in an order that depends on object addresses."""
+    from repro.testing.generator import FuzzProfile, generate_fuzz_program
+
+    several = 0
+    for seed in range(10):
+        module = generate_fuzz_program(FuzzProfile(seed=seed))
+        for fn in module.functions:
+            if fn.is_declaration:
+                continue
+            position = {id(inst): k for k, inst in enumerate(fn.instructions())}
+            reaching = ReachingStores(fn)
+            for inst in fn.instructions():
+                if isinstance(inst, Load):
+                    order = [position[id(s)] for s in reaching.stores_for(inst)]
+                    assert order == sorted(order)
+                    several += len(order) >= 2
+    assert several
