@@ -27,7 +27,6 @@ Two optional integrations, both free when unused:
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
@@ -134,16 +133,8 @@ class LRUCache:
 
             registry = get_registry()
             if registry.enabled:
-                metrics = _CacheMetrics(registry, name)
-                self._metrics = metrics
-                ref = weakref.ref(self)
-
-                def _sync_hook(ref=ref, metrics=metrics):
-                    cache = ref()
-                    if cache is not None:
-                        metrics.sync(cache)
-
-                registry.register_collect_hook(_sync_hook)
+                self._metrics = _CacheMetrics(registry, name)
+                registry.register_collect_hook(self, self._metrics.sync)
 
     def __len__(self) -> int:
         return len(self._data)

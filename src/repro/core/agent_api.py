@@ -15,10 +15,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ir.module import Module
-from ..ir.printer import print_module
 from ..ir.verifier import VerificationError, verify_module
 from ..observability import get_registry
-from ..rl.distributed import ActorSpec, DistributedReport, run_actor_learner
 from ..rl.dqn import AgentConfig, DoubleDQNAgent, DQNAgent
 from ..rl.ppo import PPOAgent, PPOConfig
 from .environment import (
@@ -31,7 +29,7 @@ from .environment import (
 from .evaluate import BenchmarkResult, SuiteSummary, evaluate_suite
 from .metrics import MetricsEngine
 from .rewards import RewardWeights
-from .vector_env import EpisodeRecord, VectorPhaseOrderingEnv
+from .vector_env import VectorPhaseOrderingEnv
 
 
 @dataclass
@@ -167,15 +165,11 @@ class PosetRL:
                 config = replace(config, prioritized_replay=True)
             agent_cls = DQNAgent if algo == "dqn" else DoubleDQNAgent
             self.agent = agent_cls(config)
-        self._agent_config = config
-        self._seed = seed
         self._rng = np.random.RandomState(seed + 13)
         self.train_history: List[TrainStats] = []
         #: Throughput report of the most recent :meth:`train` /
         #: :meth:`train_vectorized` call.
         self.last_train_throughput: Optional[TrainThroughput] = None
-        #: Pipeline report of the most recent :meth:`train_distributed` run.
-        self.last_distributed_report: Optional[DistributedReport] = None
         #: ``(input fingerprint, actions, optimized module)`` of the last
         #: :meth:`predict`, consumed by :meth:`apply_actions`.
         self._last_rollout: Optional[Tuple[str, Tuple[int, ...], Module]] = None
@@ -234,25 +228,6 @@ class PosetRL:
             modules, n_envs, self.make_env, rng=self._rng
         )
 
-    def _record_episode(
-        self,
-        rec: EpisodeRecord,
-        stats: List[TrainStats],
-        callback: Optional[Callable[[TrainStats], None]],
-    ) -> None:
-        record = TrainStats(
-            episode=len(stats),
-            module=rec.module,
-            total_reward=rec.total_reward,
-            final_size=rec.final_size,
-            epsilon=self.agent.epsilon,
-            actions=rec.actions,
-        )
-        stats.append(record)
-        _publish_episode(record)
-        if callback is not None:
-            callback(record)
-
     def train_vectorized(
         self,
         modules: Sequence[Tuple[str, Module]],
@@ -305,112 +280,24 @@ class PosetRL:
             )
             steps_done += venv.n_envs
             for rec in venv.pop_completed():
-                self._record_episode(rec, stats, callback)
+                record = TrainStats(
+                    episode=len(stats),
+                    module=rec.module,
+                    total_reward=rec.total_reward,
+                    final_size=rec.final_size,
+                    epsilon=self.agent.epsilon,
+                    actions=rec.actions,
+                )
+                stats.append(record)
+                _publish_episode(record)
+                if callback is not None:
+                    callback(record)
         self._flush_updates()
         self.last_train_throughput = TrainThroughput(
             n_envs=n_envs,
             total_steps=steps_done,
             episodes=len(stats),
             wall_seconds=time.perf_counter() - start,
-            train_updates=self.agent.train_steps - train_updates_before,
-        )
-        _publish_throughput(self.last_train_throughput)
-        self.train_history.extend(stats)
-        return stats
-
-    def train_distributed(
-        self,
-        modules: Sequence[Tuple[str, Module]],
-        total_steps: Optional[int] = None,
-        actors: int = 2,
-        *,
-        episodes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        broadcast_every: int = 2,
-        callback: Optional[Callable[[TrainStats], None]] = None,
-        snapshot_dir: Optional[str] = None,
-    ) -> List[TrainStats]:
-        """Asynchronous actor-learner training over ``actors`` processes.
-
-        Each actor rolls out episodes against a pinned ``.npz`` weight
-        snapshot of this facade's agent and streams transition chunks
-        back; the learner (this process) ingests them — through
-        ``remember_batch`` for the DQN family (optionally into the
-        sum-tree prioritized ring when ``algo='prioritized-ddqn'``) or
-        PPO lane buffers — and re-broadcasts weights to an actor after
-        every ``broadcast_every`` of its chunks. Scheduling is pipelined
-        but deterministic (round-robin issue, in-order ingest): a fixed
-        seed reproduces the learner weights exactly.
-
-        With ``actors=1``, ``chunk_size=1``, ``broadcast_every=1`` and a
-        DQN-family algorithm the run is bit-identical to
-        :meth:`train_vectorized` with ``n_envs=1``.
-
-        Budget semantics match :meth:`train_vectorized`: exactly one of
-        ``total_steps`` / ``episodes``, stopping at the first chunk
-        boundary ≥ the budget. The pipeline summary (broadcasts,
-        snapshot staleness, actor rates, priority stats) lands in
-        :attr:`last_distributed_report`.
-        """
-        if (total_steps is None) == (episodes is None):
-            raise ValueError("specify exactly one of total_steps / episodes")
-        if episodes is not None:
-            total_steps = episodes * self.episode_length
-        assert total_steps is not None
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        if actors <= 0:
-            raise ValueError("actors must be positive")
-        if not modules:
-            raise ValueError("training corpus is empty")
-        chunk = chunk_size if chunk_size is not None else self.episode_length
-        corpus_text = [(name, print_module(m)) for name, m in modules]
-        c = self._agent_config
-        specs = [
-            ActorSpec(
-                corpus=corpus_text,
-                action_space_kind=self.action_space_kind,
-                target=self.target,
-                weights=self.weights,
-                episode_length=self.episode_length,
-                algo=self.algo,
-                num_actions=len(self.actions),
-                epsilon_start=c.epsilon_start,
-                epsilon_end=c.epsilon_end,
-                epsilon_steps=c.epsilon_steps,
-                seed=self._seed,
-                actor_id=i,
-            )
-            for i in range(actors)
-        ]
-        if self.algo == "ppo":
-            save_fn = self.agent.net.save
-        else:
-            save_fn = self.agent.online.save
-        stats: List[TrainStats] = []
-
-        def on_episode(rec: EpisodeRecord) -> None:
-            self._record_episode(rec, stats, callback)
-
-        train_updates_before = self.agent.train_steps
-        report = run_actor_learner(
-            self.agent,
-            specs,
-            total_steps,
-            chunk_size=chunk,
-            broadcast_every=broadcast_every,
-            algo=self.algo,
-            save_fn=save_fn,
-            on_episode=on_episode,
-            snapshot_dir=snapshot_dir,
-        )
-        self._flush_updates()
-        self.last_distributed_report = report
-        self.last_train_throughput = TrainThroughput(
-            n_envs=actors,
-            total_steps=report.total_steps,
-            episodes=len(stats),
-            wall_seconds=report.wall_seconds,
             train_updates=self.agent.train_steps - train_updates_before,
         )
         _publish_throughput(self.last_train_throughput)

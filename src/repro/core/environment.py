@@ -231,6 +231,10 @@ class PhaseOrderingEnv:
             return hit.size, hit.throughput, hit.changed, True, 0.0, 0.0
 
         module = self.current  # clones or replays the lag if needed
+        # A no-op action must not advance the local-name counters, or one
+        # structural state would print differently depending on the path
+        # that reached it.
+        counters = [(fn, fn._name_counter) for fn in module.functions]
         start = time.perf_counter()
         applied = self.action_space.apply(action, module)
         passes_s = time.perf_counter() - start
@@ -252,6 +256,8 @@ class PhaseOrderingEnv:
             size, throughput = measured.size, measured.throughput
             cycles, embedding = measured.cycles, measured.embedding
         else:
+            for fn, counter in counters:
+                fn._name_counter = counter
             size, throughput = self.last_size, self.last_throughput
             cycles = 0.0
             embedding = self._state

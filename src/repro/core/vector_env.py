@@ -14,8 +14,8 @@ next episode happens when observations are next needed, not at the moment
 which is where a per-episode loop (draw a module, roll out, store) makes
 its draw. With ``n_envs=1`` the vector env therefore consumes the RNG
 stream exactly as such a loop does, so
-:meth:`repro.core.agent_api.PosetRL.train` (``n_envs=1``) and each
-distributed actor (one slot) reproduce that loop bit for bit.
+:meth:`repro.core.agent_api.PosetRL.train` (``n_envs=1``) reproduces that
+loop bit for bit.
 
 Slots hold real ``PhaseOrderingEnv`` objects built by ``env_factory``;
 a factory that closes over one :class:`~repro.core.metrics.MetricsEngine`

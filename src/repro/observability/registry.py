@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: Default histogram buckets (seconds): spans the ~100µs cache hit to the
@@ -174,7 +175,9 @@ class MetricRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
-        self._collect_hooks: List[object] = []
+        self._collect_hooks: "weakref.WeakKeyDictionary[object, object]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # -- instrument constructors -------------------------------------------
     def _child(
@@ -229,23 +232,25 @@ class MetricRegistry:
             buckets if buckets is not None else DEFAULT_TIME_BUCKETS,
         )
 
-    def register_collect_hook(self, hook) -> None:
-        """Run ``hook()`` before every :meth:`collect`/:meth:`get_value`.
+    def register_collect_hook(self, owner, hook) -> None:
+        """Run ``hook(owner)`` before every :meth:`collect`/:meth:`get_value`
+        for as long as ``owner`` lives.
 
         Lazily-synced sources (the LRU caches keep plain int counters on
         their hot path) use this to fold their totals into registry
         instruments only when something actually reads the registry —
-        zero added cost per cache operation. Hooks may call instrument
+        zero added cost per cache operation. The registry holds ``owner``
+        weakly, so the hook goes away with it. Hooks may call instrument
         methods; they run *outside* the registry lock.
         """
         with self._lock:
-            self._collect_hooks.append(hook)
+            self._collect_hooks[owner] = hook
 
     def _run_collect_hooks(self) -> None:
         with self._lock:
-            hooks = list(self._collect_hooks)
-        for hook in hooks:
-            hook()
+            hooks = list(self._collect_hooks.items())
+        for owner, hook in hooks:
+            hook(owner)
 
     # -- export -------------------------------------------------------------
     def collect(self) -> List[Dict[str, object]]:
@@ -325,7 +330,7 @@ class NullRegistry:
     def get_value(self, name: str, labels=None) -> Optional[float]:
         return None
 
-    def register_collect_hook(self, hook) -> None:
+    def register_collect_hook(self, owner, hook) -> None:
         pass
 
 

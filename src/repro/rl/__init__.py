@@ -1,11 +1,6 @@
-"""Reinforcement-learning machinery: Q-networks, replay, DQN/PPO agents,
-prioritized replay, and the distributed actor-learner pipeline."""
+"""Reinforcement-learning machinery: Q-networks, replay, DQN/PPO agents
+and prioritized replay."""
 
-from .distributed import (
-    ActorSpec,
-    DistributedReport,
-    run_actor_learner,
-)
 from .dqn import AgentConfig, DQNAgent, DoubleDQNAgent
 from .network import DenseLayer, QNetwork, adam_step
 from .ppo import PPOAgent, PPOConfig, PolicyValueNetwork, ppo_loss_and_grads
@@ -14,11 +9,9 @@ from .replay import ReplayMemory, Transition
 from .schedule import ExponentialSchedule, LinearSchedule, paper_epsilon_schedule
 
 __all__ = [
-    "ActorSpec",
     "AgentConfig",
     "DQNAgent",
     "DenseLayer",
-    "DistributedReport",
     "DoubleDQNAgent",
     "ExponentialSchedule",
     "LinearSchedule",
@@ -33,5 +26,4 @@ __all__ = [
     "adam_step",
     "paper_epsilon_schedule",
     "ppo_loss_and_grads",
-    "run_actor_learner",
 ]

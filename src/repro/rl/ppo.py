@@ -5,10 +5,7 @@ exactly this phase-ordering problem and report it beats DQN variants, so
 the repo carries it as a second algorithm behind the same training
 facade. :class:`PPOAgent` exposes the acting/remembering interface
 :class:`~repro.core.agent_api.PosetRL` drives (``act`` / ``act_batch`` /
-``remember`` / ``remember_batch``) plus a bulk :meth:`PPOAgent.
-ingest_rollout` entry for the distributed actor-learner path, which
-ships per-transition log-probabilities and value estimates computed
-against the actor's pinned snapshot.
+``remember`` / ``remember_batch``).
 
 Architecture: a shared trunk of :class:`~repro.rl.network.DenseLayer`
 stacks (the same layers the Q-network uses) feeding two linear heads —
@@ -269,7 +266,7 @@ def ppo_loss_and_grads(
 
 
 class _LaneBuffer:
-    """Contiguous on-policy trajectory fragment for one env slot/actor."""
+    """Contiguous on-policy trajectory fragment for one env slot."""
 
     __slots__ = (
         "states", "actions", "rewards", "next_states",
@@ -292,8 +289,8 @@ class _LaneBuffer:
 class PPOAgent:
     """On-policy PPO behind the DQN-compatible acting interface.
 
-    Transitions accumulate in per-lane buffers (lane = vector-env slot
-    or distributed actor id) so GAE runs over contiguous trajectories;
+    Transitions accumulate in per-lane buffers (lane = vector-env slot)
+    so GAE runs over contiguous trajectories;
     once ``config.horizon`` transitions are stored across all lanes, one
     PPO update (``epochs`` × shuffled minibatches) consumes and clears
     them.
@@ -375,20 +372,15 @@ class PPOAgent:
         reward: float,
         next_state: np.ndarray,
         done: bool,
-        logprob: Optional[float] = None,
-        value: Optional[float] = None,
     ) -> None:
-        if logprob is None or value is None:
-            cached = self._pending.pop(lane, None)
-            if cached is None:
-                # Off-policy ingest (e.g. journaled traffic): score the
-                # transition under the current policy.
-                logits, v = self.net.predict(state)
-                logp = log_softmax(logits[None, :])[0]
-                cached = (float(logp[int(action)]), float(v))
-            logprob, value = cached
-        else:
-            self._pending.pop(lane, None)
+        cached = self._pending.pop(lane, None)
+        if cached is None:
+            # Off-policy ingest (e.g. journaled traffic): score the
+            # transition under the current policy.
+            logits, v = self.net.predict(state)
+            logp = log_softmax(logits[None, :])[0]
+            cached = (float(logp[int(action)]), float(v))
+        logprob, value = cached
         buf = self._lane(lane)
         buf.states.append(np.array(state, dtype=self.net.dtype).ravel())
         buf.actions.append(int(action))
@@ -426,29 +418,6 @@ class PPOAgent:
             self._store(
                 i, states[i], int(actions[i]), float(rewards[i]),
                 next_states[i], bool(dones[i]),
-            )
-        self._maybe_update()
-
-    def ingest_rollout(
-        self,
-        lane: int,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        dones: np.ndarray,
-        logprobs: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Bulk-append an actor's contiguous rollout chunk (with the
-        log-probs/values it computed against its pinned snapshot)."""
-        states = np.atleast_2d(np.asarray(states))
-        next_states = np.atleast_2d(np.asarray(next_states))
-        for i in range(len(actions)):
-            self._store(
-                lane, states[i], int(actions[i]), float(rewards[i]),
-                next_states[i], bool(dones[i]),
-                logprob=float(logprobs[i]), value=float(values[i]),
             )
         self._maybe_update()
 

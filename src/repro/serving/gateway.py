@@ -27,12 +27,12 @@ phase-ordering evaluation: N worker *processes*, each running a full
 
 Workers are the processes of one :class:`~repro.workers.WorkerPool` —
 IR crosses the pipe as text, results come back as pickled
-:class:`~repro.serving.service.OptimizeResult`\\ s, the same pool the
-distributed actors use. The pool owns spawn, kill and respawn; the
-gateway owns the policy around it: it heartbeats every worker; a
-crashed or wedged worker is **restarted** and its in-flight requests
-are **failed over** to a sibling shard (a request that survives two
-worker losses resolves as ``rejected`` rather than hanging).
+:class:`~repro.serving.service.OptimizeResult`\\ s. The pool owns
+spawn, kill and respawn; the gateway owns the policy around it: it
+heartbeats every worker; a crashed or wedged worker is **restarted**
+and its in-flight requests are **failed over** to a sibling shard (a
+request that survives two worker losses resolves as ``rejected``
+rather than hanging).
 :meth:`hot_reload` broadcasts a new model version to every shard
 atomically-per-worker, and :meth:`stop` drains: each worker stops
 accepting, flushes its in-flight batches and reports final counters.

@@ -7,18 +7,14 @@ module digest) — and prints a table of per-stage totals plus the metrics
 engine's cache counters. A function-record miss builds the record (size,
 MCA and embedding together) inside the ``codegen`` stage.
 
-``--train N`` switches to the training-throughput harness: it runs one
-training loop — ``--train-mode`` picks the vectorized loop (default;
-``--n-envs 1`` is the paper's one-env-at-a-time loop) or the distributed
-actor-learner pipeline, ``--algo`` picks the learner (ddqn / dqn /
-prioritized-ddqn / ppo) — for N environment steps over the selected
+``--train N`` switches to the training-throughput harness: it runs the
+vectorized training loop (``--n-envs 1`` is the paper's
+one-env-at-a-time loop; ``--algo`` picks the learner: ddqn / dqn /
+prioritized-ddqn / ppo) for N environment steps over the selected
 corpus and prints the :class:`~repro.core.agent_api.TrainThroughput`
 report (steps/sec, episodes/sec, training updates). ``--compare-serial``
 additionally times the same loop at ``n_envs=1`` on the same budget and
-prints the speedup; distributed runs also print the pipeline report
-(broadcasts, snapshot staleness, per-actor rates) and
-``--fail-on-no-broadcast`` turns a broadcast-free or unclean run into a
-nonzero exit for CI.
+prints the speedup.
 
 Examples::
 
@@ -29,9 +25,6 @@ Examples::
     python -m repro.tools.profile --suite mibench --train 480 --n-envs 8
     python -m repro.tools.profile --suite mibench --train 480 --n-envs 8 \\
         --compare-serial
-    python -m repro.tools.profile --suite mibench --train 120 \\
-        --train-mode distributed --actors 2 --algo prioritized-ddqn \\
-        --fail-on-no-broadcast
 """
 
 from __future__ import annotations
@@ -118,21 +111,8 @@ def _print_throughput(label: str, report) -> None:
           f"updates={report.train_updates}")
 
 
-def _print_distributed_report(report) -> None:
-    print(f"{'pipeline':<12} broadcasts={report.broadcasts:<4} "
-          f"mean_staleness={report.mean_staleness:>6.1f}  "
-          f"max_staleness={report.max_staleness:<5} "
-          f"clean_drain={report.clean_drain}")
-    for actor_id, rate in sorted(report.actor_steps_per_second.items()):
-        print(f"{'actor ' + str(actor_id):<12} steps/s={rate:>8.1f}")
-    if report.priority_stats:
-        ps = report.priority_stats
-        print(f"{'priorities':<12} total={ps['total']:>10.3f}  "
-              f"mean={ps['mean']:>8.4f}  max={ps['max']:>8.4f}")
-
-
-def _run_train_harness(args, corpus) -> int:
-    """Time one training mode (vectorized / distributed)."""
+def _run_train_harness(args, corpus) -> None:
+    """Time the vectorized training loop."""
     from ..core.agent_api import PosetRL
 
     def make_agent() -> PosetRL:
@@ -145,29 +125,11 @@ def _run_train_harness(args, corpus) -> int:
         )
 
     print(f"training-throughput harness: {args.train} steps, "
-          f"mode={args.train_mode}, algo={args.algo}, "
-          f"n_envs={args.n_envs}, actors={args.actors}, "
+          f"mode=vectorized, algo={args.algo}, n_envs={args.n_envs}, "
           f"corpus={len(corpus)} module(s)")
     agent = make_agent()
-    if args.train_mode == "distributed":
-        agent.train_distributed(
-            corpus, total_steps=args.train, actors=args.actors,
-            chunk_size=args.chunk_size, broadcast_every=args.broadcast_every,
-        )
-        report = agent.last_distributed_report
-        _print_throughput("distributed", agent.last_train_throughput)
-        _print_distributed_report(report)
-        if args.fail_on_no_broadcast and (
-            report.broadcasts == 0 or not report.clean_drain
-        ):
-            print("FAIL: no weight broadcast reached an actor or the drain "
-                  "was not clean", file=sys.stderr)
-            return 1
-    else:
-        agent.train_vectorized(
-            corpus, total_steps=args.train, n_envs=args.n_envs
-        )
-        _print_throughput("vectorized", agent.last_train_throughput)
+    agent.train_vectorized(corpus, total_steps=args.train, n_envs=args.n_envs)
+    _print_throughput("vectorized", agent.last_train_throughput)
     if args.compare_serial:
         fast = agent.last_train_throughput
         serial_agent = make_agent()
@@ -176,9 +138,8 @@ def _run_train_harness(args, corpus) -> int:
         _print_throughput("serial", serial)
         if serial.steps_per_second:
             print(f"speedup: {fast.steps_per_second / serial.steps_per_second:.2f}x "
-                  f"({args.train_mode} vs serial steps/sec)")
+                  f"(vectorized vs serial steps/sec)")
     _print_cache_counters(agent.cache_stats())
-    return 0
 
 
 def _maybe_export_metrics(args) -> None:
@@ -207,27 +168,11 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--train", type=int, metavar="STEPS",
                         help="run the training-throughput harness for this "
                         "many environment steps instead of stage profiling")
-    parser.add_argument("--train-mode", default="vectorized",
-                        choices=("vectorized", "distributed"),
-                        help="training loop for --train (default vectorized)")
     parser.add_argument("--algo", default="ddqn",
                         choices=("ddqn", "dqn", "prioritized-ddqn", "ppo"),
                         help="learning algorithm for --train (default ddqn)")
     parser.add_argument("--n-envs", type=int, default=8,
                         help="vector width for --train (default 8)")
-    parser.add_argument("--actors", type=int, default=2,
-                        help="actor processes for --train-mode distributed "
-                        "(default 2)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="transitions per actor rollout chunk "
-                        "(default: one episode)")
-    parser.add_argument("--broadcast-every", type=int, default=2,
-                        help="re-broadcast learner weights to an actor after "
-                        "this many of its chunks (default 2)")
-    parser.add_argument("--fail-on-no-broadcast", action="store_true",
-                        help="with --train-mode distributed: exit nonzero "
-                        "unless at least one weight broadcast reached an "
-                        "actor and every actor drained cleanly")
     parser.add_argument("--compare-serial", action="store_true",
                         help="with --train: also time the n_envs=1 loop on "
                         "the same budget and print the speedup")
@@ -271,9 +216,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         parser.error("provide an input file or --suite")
 
     if args.train:
-        rc = _run_train_harness(args, corpus)
+        _run_train_harness(args, corpus)
         _maybe_export_metrics(args)
-        return rc
+        return 0
 
     action_space = make_action_space(args.action_space)
     import numpy as np

@@ -1,9 +1,8 @@
 """One worker-process primitive: pipe-connected subprocesses and their loop.
 
-Every scale-out layer — the sharded serving gateway
-(:mod:`repro.serving.gateway`) and the distributed actors
-(:mod:`repro.rl.distributed`) — runs its workers through this module, the
-only one that creates processes or pipes.
+The sharded serving gateway (:mod:`repro.serving.gateway`) runs its
+shard workers through this module, the only one that creates processes
+or pipes.
 
 Parent side, :class:`WorkerPool`: one daemon process per spec, each
 running ``worker(conn, spec)`` at the far end of a duplex pipe. The pool

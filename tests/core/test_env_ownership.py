@@ -157,6 +157,32 @@ def test_second_env_replays_only_the_lag(monkeypatch, suite, name, target):
     assert modules_equivalent(expected, got) is None
 
 
+def test_changed_actions_alone_print_the_same_ir():
+    """No-op actions leave no trace in the printed IR: a second env that
+    takes only the changed actions of a first env's random rollout ends
+    on the same text, not just the same fingerprint."""
+    suite = [
+        program for suite_name in ("mibench", "spec2006", "spec2017")
+        for program in load_suite(suite_name)
+    ]
+    for seed in (0, 2, 7):
+        for name, module in suite:
+            first = PhaseOrderingEnv(module, metrics=MetricsEngine())
+            first.reset()
+            changed = [
+                action for action in fixed_actions(first.num_actions, seed)
+                if first.step(action)[3].changed
+            ]
+            second = PhaseOrderingEnv(module, metrics=MetricsEngine())
+            second.reset()
+            for action in changed:
+                second.step(action)
+            assert second.fingerprint == first.fingerprint
+            assert print_module(second.current) == print_module(
+                first.current
+            ), (name, seed)
+
+
 class _AddMarker(ModulePass):
     name = "test-add-marker"
 

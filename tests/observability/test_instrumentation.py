@@ -5,6 +5,7 @@ singletons afterwards — the gate for all instrumentation is the global
 state in :mod:`repro.observability`.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -113,6 +114,25 @@ class TestCacheMirror:
             assert registry.get_value(
                 "repro_cache_hits_total", {"cache": gone}
             ) is None
+
+    def test_dead_engines_leave_no_collect_hooks(self, enabled):
+        registry, _ = enabled
+        live = MetricsEngine()
+        baseline = len(registry._collect_hooks)
+        for _ in range(100):
+            MetricsEngine()
+        gc.collect()
+        registry.collect()
+        assert len(registry._collect_hooks) == baseline
+        # The live engine's cache counters still sync on read.
+        labels = {"cache": "functions"}
+        hits_before = registry.get_value("repro_cache_hits_total", labels)
+        module = _module()
+        live.measure(module)
+        live.measure(module)
+        assert registry.get_value(
+            "repro_cache_hits_total", labels
+        ) > hits_before
 
 
 class TestTrainingMetrics:

@@ -176,25 +176,5 @@ class TestPPOAgent:
         assert np.array_equal(before[1], after[1]) and before[2] == after[2]
         assert action == int(np.argmax(agent.q_values(state)))
 
-    def test_ingest_rollout_matches_online_storage(self):
-        """Distributed ingest with explicit (logprob, value) stores the
-        same rows the online remember path would."""
-        agent = self._agent(horizon=1000)
-        rng = np.random.RandomState(8)
-        states = rng.standard_normal((5, 6))
-        next_states = rng.standard_normal((5, 6))
-        actions = rng.randint(4, size=5)
-        rewards = rng.standard_normal(5)
-        dones = np.zeros(5, dtype=bool)
-        logprobs = rng.uniform(-2, -0.1, 5)
-        values = rng.standard_normal(5)
-        agent.ingest_rollout(3, states, actions, rewards, next_states,
-                             dones, logprobs, values)
-        buf = agent._lanes[3]
-        assert len(buf) == 5
-        assert np.allclose(buf.logprobs, logprobs)
-        assert np.allclose(buf.values, values)
-        assert agent._stored == 5
-
     def test_epsilon_is_zero(self):
         assert self._agent().epsilon == 0.0

@@ -1,7 +1,7 @@
 """Property tests for the sum-tree prioritized replay index.
 
-The sum tree is the determinism-critical piece of the distributed
-learner: sampling must match a brute-force categorical draw over the
+The sum tree is the determinism-critical piece of prioritized replay:
+sampling must match a brute-force categorical draw over the
 leaf masses exactly (not just statistically), ancestor sums must stay
 consistent through ring wraparound overwrites, zero TD errors must not
 make slots unsampleable, and a snapshot/restore must continue the exact

@@ -208,8 +208,8 @@ class TestCompatibilityView:
 class TestErrorPathsPreserveRngStream:
     """A failed ``sample`` must not consume RNG state: retrying after the
     buffer fills has to draw the same indices a fresh never-failed memory
-    would — otherwise restarts and distributed learners that probe an
-    underfull ring desync from the serial trajectory."""
+    would — otherwise a restarted learner that probes an underfull ring
+    desyncs from the serial trajectory."""
 
     def _assert_same_stream(self, a: ReplayMemory, b: ReplayMemory) -> None:
         sa, sb = a._rng.get_state(), b._rng.get_state()

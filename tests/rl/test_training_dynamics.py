@@ -76,3 +76,8 @@ def test_double_dqn_flag(corpus):
     vanilla = PosetRL(action_space="odg", double_dqn=False,
                       agent_config=quick_config())
     assert double.agent.double and not vanilla.agent.double
+
+
+def test_unknown_algo_rejected():
+    with pytest.raises(ValueError):
+        PosetRL(algo="a2c")

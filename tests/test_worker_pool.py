@@ -1,8 +1,7 @@
 """Fault injection against the one worker-process primitive.
 
-Every scale-out layer (gateway shards, distributed actors) runs on
-:class:`repro.workers.WorkerPool` and :func:`repro.workers.serve`, so
-worker death, dead-pipe sends, wedged workers and shutdown are tested
+The gateway shards run on :class:`repro.workers.WorkerPool` and
+:func:`repro.workers.serve`, so worker death, dead-pipe sends, wedged workers and shutdown are tested
 here once. Each test uses at most two worker processes.
 """
 

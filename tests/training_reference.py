@@ -1,8 +1,7 @@
 """Per-transition reference for the training loop.
 
-The oracle ``PosetRL.train`` / ``train_vectorized`` (and, through them,
-the distributed actors) are compared against: the paper's loop written
-out one transition at a time. Each episode draws its module from the
+The oracle ``PosetRL.train`` / ``train_vectorized`` are compared
+against: the paper's loop written out one transition at a time. Each episode draws its module from the
 facade's corpus RNG, resets a per-name cached environment, then runs
 ``agent.act`` → ``env.step`` → ``agent.remember`` until ``done`` — no
 vector env, no batching, no lazy reset.
