@@ -23,6 +23,8 @@ class CallGraph:
         self.graph: "nx.DiGraph" = nx.DiGraph()
         self.call_sites: Dict[str, List[Call]] = {}
         self.address_taken: Set[str] = set()
+        #: names on a call cycle, computed on the first is_recursive query
+        self._recursive: Optional[Set[str]] = None
         self._compute()
 
     def _compute(self) -> None:
@@ -61,9 +63,17 @@ class CallGraph:
         )
 
     def is_recursive(self, fn: Function) -> bool:
-        return self.graph.has_edge(fn.name, fn.name) or any(
-            fn.name in scc and len(scc) > 1 for scc in nx.strongly_connected_components(self.graph)
-        )
+        """Calls itself, or sits in a strongly connected component of
+        more than one function."""
+        if self._recursive is None:
+            self._recursive = {
+                name
+                for scc in nx.strongly_connected_components(self.graph)
+                if len(scc) > 1
+                for name in scc
+            }
+            self._recursive.update(u for u, _ in nx.selfloop_edges(self.graph))
+        return fn.name in self._recursive
 
     def bottom_up_order(self) -> List[Function]:
         """Defined functions, callees before callers (SCCs collapsed)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Set
 
 from ..ir.module import BasicBlock, Function
+from ..ir.values import UndefValue
 
 
 def reachable_blocks(fn: Function) -> Set[int]:
@@ -57,7 +58,10 @@ def predecessors_map(fn: Function) -> Dict[int, List[BasicBlock]]:
     for block in fn.blocks:
         for succ in block.successors():
             lst = preds.get(id(succ))
-            if lst is not None and block not in lst:
+            # A block's own edges are appended consecutively, so a repeat
+            # edge (both arms of a branch, duplicate switch cases) can
+            # only find ``block`` last in the list.
+            if lst is not None and (not lst or lst[-1] is not block):
                 lst.append(block)
     return preds
 
@@ -77,8 +81,6 @@ def remove_unreachable_blocks(fn: Function) -> bool:
                 if id(phi.incoming_block(i)) in dead_ids:
                     phi.remove_operand(2 * i + 1)
                     phi.remove_operand(2 * i)
-    from ..ir.values import UndefValue
-
     for block in dead:
         # Values defined in dead blocks may still be referenced from other
         # dead blocks (fine — all erased) or from phis already fixed above.

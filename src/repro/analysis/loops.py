@@ -164,3 +164,38 @@ class LoopInfo:
     def innermost_first(self) -> List[Loop]:
         """Loops ordered innermost-to-outermost (stable within a depth)."""
         return sorted(self.loops, key=lambda l: -l.depth)
+
+
+def has_natural_loop(fn: Function) -> bool:
+    """Whether ``LoopInfo(fn).loops`` is non-empty: some reachable block
+    has a successor that dominates it (a back edge).
+
+    A back edge is a retreating edge of every depth-first walk from the
+    entry (its target dominates its source, so it is on the walk's
+    stack), so a walk without retreating edges answers False without a
+    dominator tree; otherwise only the retreating edges are tested.
+    """
+    if not fn.blocks:
+        return False
+    entry = fn.entry
+    seen = {id(entry)}
+    on_stack = {id(entry)}
+    stack = [(entry, iter(entry.successors()))]
+    retreating: List[Tuple[BasicBlock, BasicBlock]] = []
+    while stack:
+        block, succs = stack[-1]
+        for succ in succs:
+            if id(succ) in on_stack:
+                retreating.append((block, succ))
+            elif id(succ) not in seen:
+                seen.add(id(succ))
+                on_stack.add(id(succ))
+                stack.append((succ, iter(succ.successors())))
+                break
+        else:
+            stack.pop()
+            on_stack.discard(id(block))
+    if not retreating:
+        return False
+    dom = DominatorTree(fn)
+    return any(dom.dominates_block(head, tail) for tail, head in retreating)

@@ -23,6 +23,7 @@ from .environment import (
     ActionSpace,
     DEFAULT_EPISODE_LENGTH,
     PhaseOrderingEnv,
+    apply_action,
     greedy_rollout,
     make_action_space,
 )
@@ -344,8 +345,11 @@ class PosetRL:
             result = memo[2]
         else:
             result = module.clone()
+            fingerprint = self.metrics.fingerprint(result)
             for action in actions:
-                self.actions.apply(action, result)
+                fingerprint, _, _ = apply_action(
+                    self.actions, action, result, self.metrics, fingerprint
+                )
         if verify:
             try:
                 verify_module(result)

@@ -77,6 +77,40 @@ class ActionSpace:
         return self._managers[action].run(module)
 
 
+def apply_action(
+    actions: ActionSpace,
+    action: int,
+    module: Module,
+    engine: MetricsEngine,
+    fingerprint: str,
+) -> Tuple[str, Optional[Dict[str, str]], float]:
+    """Apply ``action`` in place to ``module``, whose fingerprint is
+    ``fingerprint``. Returns the result's fingerprint, its per-function
+    digests when a pass reported a change (None otherwise) and the wall
+    seconds the passes took.
+
+    The changed-flag is advisory; fingerprint equality is the
+    authoritative no-op check (sound in both directions). A no-op
+    restores the functions' local-name counters: advancing them would
+    make one structural state print differently depending on the path
+    that reached it.
+    """
+    counters = [(fn, fn._name_counter) for fn in module.functions]
+    start = time.perf_counter()
+    applied = actions.apply(action, module)
+    passes_s = time.perf_counter() - start
+    if not applied:
+        function_fps = None
+        result_fp = fingerprint
+    else:
+        function_fps = engine.function_fingerprints(module)
+        result_fp = engine.fingerprint(module, function_fps)
+    if result_fp == fingerprint:
+        for fn, counter in counters:
+            fn._name_counter = counter
+    return result_fp, function_fps, passes_s
+
+
 class PhaseOrderingEnv:
     """RL environment optimizing one module for size and throughput."""
 
@@ -231,21 +265,8 @@ class PhaseOrderingEnv:
             return hit.size, hit.throughput, hit.changed, True, 0.0, 0.0
 
         module = self.current  # clones or replays the lag if needed
-        # A no-op action must not advance the local-name counters, or one
-        # structural state would print differently depending on the path
-        # that reached it.
-        counters = [(fn, fn._name_counter) for fn in module.functions]
-        start = time.perf_counter()
-        applied = self.action_space.apply(action, module)
-        passes_s = time.perf_counter() - start
-        # The changed-flag is advisory; fingerprint equality is the
-        # authoritative no-op check (sound in both directions). Function
-        # digests are computed once and reused by every measurement below.
-        function_fps = engine.function_fingerprints(module) if applied else None
-        result_fp = (
-            engine.fingerprint(module, function_fps)
-            if applied
-            else fingerprint
+        result_fp, function_fps, passes_s = apply_action(
+            self.action_space, action, module, engine, fingerprint
         )
         changed = result_fp != fingerprint
         measure_s = 0.0
@@ -256,8 +277,6 @@ class PhaseOrderingEnv:
             size, throughput = measured.size, measured.throughput
             cycles, embedding = measured.cycles, measured.embedding
         else:
-            for fn, counter in counters:
-                fn._name_counter = counter
             size, throughput = self.last_size, self.last_throughput
             cycles = 0.0
             embedding = self._state

@@ -686,9 +686,10 @@ class Branch(Instruction):
 
     @property
     def targets(self) -> List["BasicBlock"]:
-        if self.is_conditional:
-            return [self.operand(1), self.operand(2)]  # type: ignore[list-item]
-        return [self.operand(0)]  # type: ignore[list-item]
+        ops = self._operands
+        if len(ops) == 3:
+            return [ops[1], ops[2]]  # type: ignore[list-item]
+        return [ops[0]]  # type: ignore[list-item]
 
     @property
     def true_target(self) -> "BasicBlock":
@@ -737,7 +738,8 @@ class Switch(Instruction):
 
     @property
     def targets(self) -> List["BasicBlock"]:
-        return [self.default] + [b for _, b in self.cases()]
+        ops = self._operands
+        return [ops[1], *ops[3::2]]  # type: ignore[list-item]
 
     def clone_impl(self, operands: List[Value]) -> "Switch":
         cases = [
@@ -781,10 +783,3 @@ class Unreachable(Instruction):
 
     def clone_impl(self, operands: List[Value]) -> "Unreachable":
         return Unreachable()
-
-
-def terminator_targets(inst: Instruction) -> List["BasicBlock"]:
-    """Successor blocks of a terminator instruction."""
-    if isinstance(inst, (Branch, Switch, Ret, Unreachable)):
-        return inst.targets
-    raise TypeError(f"not a terminator: {inst!r}")

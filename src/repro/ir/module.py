@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from .instructions import Instruction, Phi, terminator_targets
+from .instructions import TERMINATOR_OPS, Instruction, Phi
 from .types import FunctionType, LabelType, PointerType, Type
 from .values import Argument, GlobalValue, GlobalVariable, Value
 
@@ -42,8 +42,9 @@ class BasicBlock(Value):
 
     @property
     def terminator(self) -> Optional[Instruction]:
-        if self.instructions and self.instructions[-1].is_terminator:
-            return self.instructions[-1]
+        insts = self.instructions
+        if insts and insts[-1].opcode in TERMINATOR_OPS:
+            return insts[-1]
         return None
 
     @property
@@ -71,32 +72,38 @@ class BasicBlock(Value):
 
     # -- CFG ------------------------------------------------------------------
     def successors(self) -> List["BasicBlock"]:
-        term = self.terminator
-        if term is None:
-            return []
-        return terminator_targets(term)
+        insts = self.instructions
+        if insts and insts[-1].opcode in TERMINATOR_OPS:
+            return insts[-1].targets  # type: ignore[attr-defined]
+        return []
 
-    def predecessors(self) -> List["BasicBlock"]:
-        """Predecessor blocks, derived from uses of this block by terminators."""
-        preds = []
+    def _iter_predecessors(self) -> Iterator["BasicBlock"]:
+        """Distinct predecessor blocks, derived from uses of this block by
+        terminators."""
         seen: Set[int] = set()
         for use in self.uses:
             user = use.user
             if (
                 isinstance(user, Instruction)
-                and user.is_terminator
+                and user.opcode in TERMINATOR_OPS
                 and user.parent is not None
                 and id(user.parent) not in seen
-                and self in terminator_targets(user)
+                and self in user.targets  # type: ignore[attr-defined]
             ):
                 seen.add(id(user.parent))
-                preds.append(user.parent)
-        return preds
+                yield user.parent
+
+    def predecessors(self) -> List["BasicBlock"]:
+        return list(self._iter_predecessors())
 
     @property
     def single_predecessor(self) -> Optional["BasicBlock"]:
-        preds = self.predecessors()
-        return preds[0] if len(preds) == 1 else None
+        """The only predecessor block, or None; stops at the second."""
+        preds = self._iter_predecessors()
+        first = next(preds, None)
+        if first is None or next(preds, None) is not None:
+            return None
+        return first
 
     @property
     def single_successor(self) -> Optional["BasicBlock"]:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from ..ir.instructions import Cast, FCmp, ICmp, Instruction, Select
+from ..ir.instructions import BinaryOp, Cast, FCmp, ICmp, Instruction, Select
 from ..ir.interp import _fcmp, _float_binop, _icmp, _int_binop, InterpError
-from ..ir.types import FloatType, IntType, PointerType, Type
+from ..ir.types import I1, FloatType, IntType, PointerType, Type
 from ..ir.values import (
     Constant,
     ConstantFloat,
@@ -44,8 +44,6 @@ def fold_binary(opcode: str, lhs: Value, rhs: Value) -> Optional[Constant]:
 
 
 def fold_icmp(predicate: str, lhs: Value, rhs: Value) -> Optional[ConstantInt]:
-    from ..ir.types import I1
-
     if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
         return ConstantInt(I1, _icmp(predicate, lhs.int_type, lhs.value, rhs.value))
     if isinstance(lhs, ConstantNull) and isinstance(rhs, ConstantNull):
@@ -54,8 +52,6 @@ def fold_icmp(predicate: str, lhs: Value, rhs: Value) -> Optional[ConstantInt]:
 
 
 def fold_fcmp(predicate: str, lhs: Value, rhs: Value) -> Optional[ConstantInt]:
-    from ..ir.types import I1
-
     if isinstance(lhs, ConstantFloat) and isinstance(rhs, ConstantFloat):
         return ConstantInt(I1, _fcmp(predicate, lhs.value, rhs.value))
     return None
@@ -114,16 +110,15 @@ def fold_select(cond: Value, tval: Value, fval: Value) -> Optional[Value]:
 
 def fold_instruction(inst: Instruction) -> Optional[Value]:
     """Fold any fully-constant instruction. Returns replacement or ``None``."""
-    from ..ir.instructions import BinaryOp
-
+    ops = inst._operands
     if isinstance(inst, BinaryOp):
-        return fold_binary(inst.opcode, inst.lhs, inst.rhs)
+        return fold_binary(inst.opcode, ops[0], ops[1])
     if isinstance(inst, ICmp):
-        return fold_icmp(inst.predicate, inst.lhs, inst.rhs)
+        return fold_icmp(inst.predicate, ops[0], ops[1])
     if isinstance(inst, FCmp):
-        return fold_fcmp(inst.predicate, inst.lhs, inst.rhs)
+        return fold_fcmp(inst.predicate, ops[0], ops[1])
     if isinstance(inst, Cast):
-        return fold_cast(inst.opcode, inst.value, inst.type)
+        return fold_cast(inst.opcode, ops[0], inst.type)
     if isinstance(inst, Select):
-        return fold_select(inst.condition, inst.true_value, inst.false_value)
+        return fold_select(ops[0], ops[1], ops[2])
     return None

@@ -10,13 +10,14 @@ the ``-Oz`` sequence.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, Set
 
 from ...analysis.callgraph import CallGraph
-from ...analysis.loops import LoopInfo
-from ...analysis.memdep import pointer_escapes
-from ...ir.instructions import Alloca, Call, Instruction, Load, Store
+from ...analysis.loops import has_natural_loop
+from ...analysis.memdep import pointer_escapes, underlying_object
+from ...ir.instructions import Alloca, Call, Load, Store
 from ...ir.module import Function, Module
+from ...ir.values import Value
 from ..base import ModulePass, register_pass
 
 
@@ -28,13 +29,28 @@ def _callee_attrs(call: Call) -> Set[str]:
 def infer_attributes(module: Module) -> bool:
     """Shared bottom-up inference engine."""
     graph = CallGraph(module)
+    # Escape facts per alloca id: inference changes attributes only, so
+    # an alloca's uses (all ``pointer_escapes`` reads) stay fixed.
+    escapes: Dict[int, bool] = {}
     changed = False
     for fn in graph.bottom_up_order():
-        changed |= _infer_for(fn, graph)
+        changed |= _infer_for(fn, graph, escapes)
     return changed
 
 
-def _infer_for(fn: Function, graph: CallGraph) -> bool:
+def _is_local(pointer: Value, escapes: Dict[int, bool]) -> bool:
+    """Whether ``pointer`` is based on a non-escaping local alloca, so
+    accesses through it are invisible outside the function."""
+    base = underlying_object(pointer)
+    if not isinstance(base, Alloca):
+        return False
+    escaped = escapes.get(id(base))
+    if escaped is None:
+        escaped = escapes[id(base)] = pointer_escapes(base)
+    return not escaped
+
+
+def _infer_for(fn: Function, graph: CallGraph, escapes: Dict[int, bool]) -> bool:
     changed = False
     reads = False
     writes = False
@@ -43,17 +59,10 @@ def _infer_for(fn: Function, graph: CallGraph) -> bool:
 
     for inst in fn.instructions():
         if isinstance(inst, Load):
-            # Loads from local non-escaping allocas are invisible outside.
-            from ...analysis.memdep import underlying_object
-
-            base = underlying_object(inst.pointer)
-            if not (isinstance(base, Alloca) and not pointer_escapes(base)):
+            if not reads and not _is_local(inst.pointer, escapes):
                 reads = True
         elif isinstance(inst, Store):
-            from ...analysis.memdep import underlying_object
-
-            base = underlying_object(inst.pointer)
-            if not (isinstance(base, Alloca) and not pointer_escapes(base)):
+            if not writes and not _is_local(inst.pointer, escapes):
                 writes = True
         elif isinstance(inst, Call):
             attrs = _callee_attrs(inst)
@@ -83,9 +92,13 @@ def _infer_for(fn: Function, graph: CallGraph) -> bool:
     add("nounwind", calls_ok_nounwind)
     recursive = graph.is_recursive(fn)
     add("norecurse", not recursive)
-    if not fn.is_declaration:
-        has_loops = bool(LoopInfo(fn).loops)
-        add("willreturn", calls_ok_willreturn and not has_loops and not recursive)
+    if (
+        not fn.is_declaration
+        and "willreturn" not in fn.attributes
+        and calls_ok_willreturn
+        and not recursive
+    ):
+        add("willreturn", not has_natural_loop(fn))
     return changed
 
 

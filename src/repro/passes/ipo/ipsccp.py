@@ -7,13 +7,15 @@ Extends the per-function SCCP solver with two interprocedural facts:
 * a function whose solver concludes a constant return value has its call
   sites' results replaced by that constant.
 
-Iterated to a (small, bounded) fixpoint, then each function's solution is
-applied.
+Iterated to a (small, bounded) fixpoint, visiting functions in module
+order; after the first round only functions whose callees' return facts
+changed since their last solve are solved again. Then each function's
+solution is applied.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from ...analysis.callgraph import CallGraph
 from ...ir.instructions import Call
@@ -53,6 +55,16 @@ def _call_site_arg_constants(
     return values
 
 
+def _direct_callees(fn: Function) -> Set[str]:
+    """Names of the functions ``fn`` calls directly."""
+    names: Set[str] = set()
+    for inst in fn.calls():
+        callee = inst.called_function
+        if callee is not None:
+            names.add(callee.name)
+    return names
+
+
 @register_pass
 class IPSCCP(ModulePass):
     """Interprocedural SCCP."""
@@ -74,15 +86,33 @@ class IPSCCP(ModulePass):
                 known = return_values.get(callee.name, BOTTOM)
                 return known if isinstance(known, Constant) else BOTTOM
 
+        # A solve reads other functions only through ``_call_value``,
+        # which sees a callee's *effective* return fact (a constant, or
+        # BOTTOM for both TOP and BOTTOM). Nothing else a solve depends on
+        # changes before the solutions are applied, so a function whose
+        # callees' effective facts are all unchanged since its last solve
+        # would reproduce that solve exactly and is not solved again.
+        # ``stamp`` counts effective-fact changes; ``fact_stamp`` records
+        # the stamp of each function's last change, ``solve_stamp`` the
+        # stamp each function was last solved at.
+        defined = [fn for fn in module.functions if not fn.is_declaration]
+        callees = {fn.name: _direct_callees(fn) for fn in defined}
+        fact_stamp: Dict[str, int] = {}
+        solve_stamp: Dict[str, int] = {}
+        stamp = 0
         for _ in range(self.MAX_ROUNDS):
             stable = True
-            for fn in module.functions:
-                if fn.is_declaration:
+            for fn in defined:
+                last = solve_stamp.get(fn.name)
+                if last is not None and all(
+                    fact_stamp.get(name, 0) <= last for name in callees[fn.name]
+                ):
                     continue
                 args = _call_site_arg_constants(fn, graph)
                 solver = _IPSolver(fn, args)
                 solver.solve()
                 solvers[fn.name] = solver
+                solve_stamp[fn.name] = stamp
                 new_ret = solver.return_value
                 old_ret = return_values.get(fn.name, TOP)
                 if not (
@@ -95,6 +125,9 @@ class IPSCCP(ModulePass):
                 ):
                     return_values[fn.name] = new_ret
                     stable = False
+                    if isinstance(old_ret, Constant) or isinstance(new_ret, Constant):
+                        stamp += 1
+                        fact_stamp[fn.name] = stamp
             if stable:
                 break
 

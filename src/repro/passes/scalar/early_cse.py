@@ -10,6 +10,7 @@ blocks (mirroring LLVM's MemorySSA-backed EarlyCSE).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from ...analysis.dominators import DominatorTree
@@ -27,7 +28,7 @@ from ...ir.instructions import (
     COMMUTATIVE_OPS,
 )
 from ...ir.module import BasicBlock, Function
-from ...ir.values import Value
+from ...ir.values import ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value
 from ..base import FunctionPass, register_pass
 from .instsimplify import simplify_instruction
 from ..utils import erase_trivially_dead, replace_and_erase
@@ -36,64 +37,88 @@ from ..utils import erase_trivially_dead, replace_and_erase
 def _operand_key(value: Value):
     """Identity for SSA values; by-value identity for scalar constants
     (constants are not interned, so two ``i32 5`` objects must key equal)."""
-    from ...ir.values import ConstantFloat, ConstantInt, ConstantNull, UndefValue
-
-    if isinstance(value, ConstantInt):
-        return ("ci", value.type, value.value)
-    if isinstance(value, ConstantFloat):
-        return ("cf", value.type, value.value)
-    if isinstance(value, ConstantNull):
+    cls = value.__class__
+    if cls is ConstantInt:
+        return ("ci", value.type, value.value)  # type: ignore[attr-defined]
+    if cls is ConstantFloat:
+        return ("cf", value.type, value.value)  # type: ignore[attr-defined]
+    if cls is ConstantNull:
         return ("cn", value.type)
-    if isinstance(value, UndefValue):
+    if cls is UndefValue:
         return ("cu", id(value))  # undefs never CSE with each other
     return id(value)
+
+
+def _commuted_pair(a, b) -> Tuple:
+    """``(a, b)`` in a canonical order, so both operand orders of a
+    commutative expression key equal. SSA values (int keys) order by
+    value and come before constants (tuple keys)."""
+    if a.__class__ is int:
+        if b.__class__ is int and b < a:
+            return (b, a)
+        return (a, b)
+    if b.__class__ is int or repr(b) < repr(a):
+        return (b, a)
+    return (a, b)
 
 
 def expression_key(inst: Instruction) -> Optional[Tuple]:
     """Hashable structural key for pure, CSE-able instructions."""
     k = _operand_key
+    ops = inst._operands
     if isinstance(inst, BinaryOp):
-        ops = (k(inst.lhs), k(inst.rhs))
         if inst.opcode in COMMUTATIVE_OPS:
-            ops = tuple(sorted(ops, key=repr))
-        return ("bin", inst.opcode, inst.type, ops)
+            pair = _commuted_pair(k(ops[0]), k(ops[1]))
+        else:
+            pair = (k(ops[0]), k(ops[1]))
+        return ("bin", inst.opcode, inst.type, pair)
     if isinstance(inst, ICmp):
-        return ("icmp", inst.predicate, k(inst.lhs), k(inst.rhs))
+        return ("icmp", inst.predicate, k(ops[0]), k(ops[1]))
     if isinstance(inst, FCmp):
-        return ("fcmp", inst.predicate, k(inst.lhs), k(inst.rhs))
+        return ("fcmp", inst.predicate, k(ops[0]), k(ops[1]))
     if isinstance(inst, Cast):
-        return ("cast", inst.opcode, inst.type, k(inst.value))
+        return ("cast", inst.opcode, inst.type, k(ops[0]))
     if isinstance(inst, GetElementPtr):
-        return ("gep", inst.type, tuple(k(op) for op in inst.operands))
+        return ("gep", inst.type, tuple([k(op) for op in ops]))
     if isinstance(inst, Select):
-        return ("select", tuple(k(op) for op in inst.operands))
+        return ("select", tuple([k(op) for op in ops]))
     if isinstance(inst, Call):
         fn = inst.called_function
         if fn is not None and "readnone" in fn.attributes and "willreturn" in fn.attributes:
-            return ("call", fn.name, tuple(k(a) for a in inst.args))
+            return ("call", fn.name, tuple([k(a) for a in ops[1:]]))
     return None
 
 
+#: Marks a key that had no entry before a scope's insert.
+_ABSENT = object()
+
+
 class _ScopedTable:
-    """A stack of dicts giving dominator-scoped name lookup."""
+    """Dominator-scoped name lookup: one dict holds the visible entry of
+    every key, and each open scope keeps an undo log of the entries its
+    inserts shadowed, replayed backwards when the scope is popped."""
 
     def __init__(self) -> None:
-        self.scopes: List[Dict] = [{}]
+        self.table: Dict = {}
+        self.undo: List[List[Tuple]] = [[]]
 
     def push(self) -> None:
-        self.scopes.append({})
+        self.undo.append([])
 
     def pop(self) -> None:
-        self.scopes.pop()
+        table = self.table
+        for key, old in reversed(self.undo.pop()):
+            if old is _ABSENT:
+                del table[key]
+            else:
+                table[key] = old
 
     def lookup(self, key):
-        for scope in reversed(self.scopes):
-            if key in scope:
-                return scope[key]
-        return None
+        return self.table.get(key)
 
     def insert(self, key, value) -> None:
-        self.scopes[-1][key] = value
+        self.undo[-1].append((key, self.table.get(key, _ABSENT)))
+        self.table[key] = value
 
 
 class _EarlyCSE:
@@ -163,8 +188,6 @@ class _EarlyCSE:
                 key = expression_key(inst)
                 if key is None:
                     continue
-                if isinstance(inst, Call):
-                    pass  # readnone+willreturn calls are safe to CSE
                 available = expressions.lookup(key)
                 if available is not None and available.type == inst.type:
                     replace_and_erase(inst, available)
@@ -180,8 +203,6 @@ class _EarlyCSE:
                 walk(child)
             expressions.pop()
             memory.pop()
-
-        import sys
 
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old, 4 * len(self.fn.blocks) + 1000))

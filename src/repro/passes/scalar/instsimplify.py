@@ -21,7 +21,7 @@ from ...ir.instructions import (
     Select,
 )
 from ...ir.module import Function
-from ...ir.types import IntType
+from ...ir.types import I1, IntType
 from ...ir.values import ConstantFloat, ConstantInt, UndefValue, Value
 from ..base import FunctionPass, register_pass
 from ..fold import fold_instruction
@@ -117,8 +117,6 @@ _ALWAYS_TRUE = frozenset({"eq", "sle", "sge", "ule", "uge"})
 
 
 def _simplify_icmp(inst: ICmp) -> Optional[Value]:
-    from ...ir.types import I1
-
     if inst.lhs is inst.rhs:
         return ConstantInt(I1, 1 if inst.predicate in _ALWAYS_TRUE else 0)
     return None

@@ -45,14 +45,15 @@ LatticeValue = Union[str, Constant]
 
 
 def _meet(a: LatticeValue, b: LatticeValue) -> LatticeValue:
-    if a == TOP:
+    # TOP and BOTTOM are the module's sentinel strings, so identity tests
+    # suffice (and skip comparing constants with strings).
+    if a is TOP:
         return b
-    if b == TOP:
+    if b is TOP:
         return a
-    if a == BOTTOM or b == BOTTOM:
+    if a is BOTTOM or b is BOTTOM:
         return BOTTOM
-    assert isinstance(a, Constant) and isinstance(b, Constant)
-    if _same_constant(a, b):
+    if _same_constant(a, b):  # type: ignore[arg-type]
         return a
     return BOTTOM
 
@@ -84,30 +85,35 @@ class SCCPSolver:
 
     # -- lattice access ------------------------------------------------------
     def value_of(self, value: Value) -> LatticeValue:
-        if isinstance(value, Constant) and not isinstance(value, UndefValue):
+        if isinstance(value, Constant):
+            if value.__class__ is UndefValue:
+                return BOTTOM  # do not exploit undef (keeps interp-equivalence)
             return value
-        if isinstance(value, UndefValue):
-            return BOTTOM  # do not exploit undef (keeps interp-equivalence)
         return self.lattice.get(id(value), TOP)
 
     def _set(self, inst: Instruction, value: LatticeValue) -> None:
-        old = self.lattice.get(id(inst), TOP)
-        new = _meet(old, value) if old != TOP else value
-        # Monotonic: once bottom, stays bottom.
-        if old == BOTTOM:
-            return
-        if old == TOP and new == TOP:
-            return
-        if old != TOP and isinstance(old, Constant) and isinstance(new, Constant):
-            if _same_constant(old, new):
+        # Monotonic: TOP -> constant -> BOTTOM; a second, different
+        # constant means BOTTOM, and BOTTOM stays.
+        key = id(inst)
+        old = self.lattice.get(key, TOP)
+        if old is TOP:
+            if value is TOP:
                 return
+            new = value
+        elif old is BOTTOM or value is TOP or (
+            value is not BOTTOM and _same_constant(old, value)  # type: ignore[arg-type]
+        ):
+            return
+        else:
             new = BOTTOM
-        self.lattice[id(inst)] = new
+        self.lattice[key] = new
+        executable = self.executable_blocks
+        worklist = self.ssa_worklist
         for use in inst.uses:
             user = use.user
             if isinstance(user, Instruction) and user.parent is not None:
-                if id(user.parent) in self.executable_blocks:
-                    self.ssa_worklist.append(user)
+                if id(user.parent) in executable:
+                    worklist.append(user)
 
     def _mark_edge(self, src: BasicBlock, dst: BasicBlock) -> None:
         edge = (id(src), id(dst))
@@ -123,106 +129,132 @@ class SCCPSolver:
                 self.ssa_worklist.append(phi)
 
     # -- transfer functions -----------------------------------------------------
-    def _visit(self, inst: Instruction) -> None:
-        if isinstance(inst, Phi):
-            result: LatticeValue = TOP
-            for value, pred in inst.incoming():
-                if (id(pred), id(inst.parent)) in self.executable_edges:
-                    result = _meet(result, self.value_of(value))
-            self._set(inst, result)
-            return
+    def _visit_phi(self, inst: Phi) -> None:
+        ops = inst._operands
+        block_id = id(inst.parent)
+        edges = self.executable_edges
+        result: LatticeValue = TOP
+        for i in range(0, len(ops), 2):
+            if (id(ops[i + 1]), block_id) in edges:
+                result = _meet(result, self.value_of(ops[i]))
+        self._set(inst, result)
 
-        if isinstance(inst, (Branch, Switch)):
-            self._visit_terminator(inst)
-            return
+    def _visit_ret(self, inst: Ret) -> None:
+        if inst._operands:
+            self.return_value = _meet(
+                self.return_value, self.value_of(inst._operands[0])
+            )
+        else:
+            self.return_value = BOTTOM
 
-        if isinstance(inst, Ret):
-            if inst.value is not None:
-                self.return_value = _meet(self.return_value, self.value_of(inst.value))
-            else:
-                self.return_value = BOTTOM
-            return
+    def _visit_call(self, inst: Call) -> None:
+        if not inst.type.is_void:
+            self._set(inst, self._call_value(inst))
 
-        if isinstance(inst, Call):
-            if not inst.type.is_void:
-                self._set(inst, self._call_value(inst))
-            return
-        if not inst.type.is_void and isinstance(inst, (Load, Alloca)):
-            # Memory contents and addresses are not modelled: overdefined.
+    def _visit_memory(self, inst: Instruction) -> None:
+        # Memory contents and addresses are not modelled: overdefined.
+        if not inst.type.is_void:
             self._set(inst, BOTTOM)
-            return
-        if inst.type.is_void:
-            return
 
-        operand_values = [self.value_of(op) for op in inst.operands]
-        if any(v == BOTTOM for v in operand_values):
+    def _constant_operands(self, inst: Instruction) -> Optional[List[Constant]]:
+        """The operands' lattice values when all are constants. An
+        overdefined operand makes ``inst`` overdefined; an unknown one
+        leaves it waiting for more information. Both return None."""
+        value_of = self.value_of
+        values = [value_of(op) for op in inst._operands]
+        if BOTTOM in values:
             self._set(inst, BOTTOM)
-            return
-        if any(v == TOP for v in operand_values):
-            return  # wait for more information
+            return None
+        if TOP in values:
+            return None
+        return values  # type: ignore[return-value]
 
-        consts: List[Constant] = operand_values  # type: ignore[assignment]
-        folded: Optional[Constant] = None
-        if isinstance(inst, BinaryOp):
+    def _visit_binary(self, inst: BinaryOp) -> None:
+        consts = self._constant_operands(inst)
+        if consts is not None:
             folded = fold_binary(inst.opcode, consts[0], consts[1])
-        elif isinstance(inst, ICmp):
+            self._set(inst, folded if folded is not None else BOTTOM)
+
+    def _visit_icmp(self, inst: ICmp) -> None:
+        consts = self._constant_operands(inst)
+        if consts is not None:
             folded = fold_icmp(inst.predicate, consts[0], consts[1])
-        elif isinstance(inst, FCmp):
+            self._set(inst, folded if folded is not None else BOTTOM)
+
+    def _visit_fcmp(self, inst: FCmp) -> None:
+        consts = self._constant_operands(inst)
+        if consts is not None:
             folded = fold_fcmp(inst.predicate, consts[0], consts[1])
-        elif isinstance(inst, Cast):
+            self._set(inst, folded if folded is not None else BOTTOM)
+
+    def _visit_cast(self, inst: Cast) -> None:
+        consts = self._constant_operands(inst)
+        if consts is not None:
             folded = fold_cast(inst.opcode, consts[0], inst.type)
-        elif isinstance(inst, Select):
+            self._set(inst, folded if folded is not None else BOTTOM)
+
+    def _visit_select(self, inst: Select) -> None:
+        consts = self._constant_operands(inst)
+        if consts is not None:
             cond = consts[0]
             if isinstance(cond, ConstantInt):
-                folded = consts[1] if cond.value else consts[2]
-        self._set(inst, folded if folded is not None else BOTTOM)
+                self._set(inst, consts[1] if cond.value else consts[2])
+            else:
+                self._set(inst, BOTTOM)
+
+    def _visit_other(self, inst: Instruction) -> None:
+        if not inst.type.is_void and self._constant_operands(inst) is not None:
+            self._set(inst, BOTTOM)
 
     def _call_value(self, inst: Call) -> LatticeValue:
         """Overridden by ipsccp to consult callee summaries."""
         return BOTTOM
 
-    def _visit_terminator(self, inst: Instruction) -> None:
+    def _visit_branch(self, inst: Branch) -> None:
         block = inst.parent
         assert block is not None
-        if isinstance(inst, Branch):
-            if not inst.is_conditional:
-                self._mark_edge(block, inst.targets[0])
-                return
-            cond = self.value_of(inst.condition)
-            if isinstance(cond, ConstantInt):
-                target = inst.true_target if cond.value else inst.false_target
-                self._mark_edge(block, target)
-            elif cond == BOTTOM:
-                self._mark_edge(block, inst.true_target)
-                self._mark_edge(block, inst.false_target)
+        ops = inst._operands
+        if len(ops) == 1:
+            self._mark_edge(block, ops[0])  # type: ignore[arg-type]
             return
-        if isinstance(inst, Switch):
-            value = self.value_of(inst.value)
-            if isinstance(value, ConstantInt):
-                taken = inst.default
-                for cv, target in inst.cases():
-                    if cv.value == value.value:
-                        taken = target
-                        break
-                self._mark_edge(block, taken)
-            elif value == BOTTOM:
-                for target in inst.targets:
-                    self._mark_edge(block, target)
+        cond = self.value_of(ops[0])
+        if isinstance(cond, ConstantInt):
+            self._mark_edge(block, ops[1] if cond.value else ops[2])  # type: ignore[arg-type]
+        elif cond == BOTTOM:
+            self._mark_edge(block, ops[1])  # type: ignore[arg-type]
+            self._mark_edge(block, ops[2])  # type: ignore[arg-type]
+
+    def _visit_switch(self, inst: Switch) -> None:
+        block = inst.parent
+        assert block is not None
+        value = self.value_of(inst.value)
+        if isinstance(value, ConstantInt):
+            taken = inst.default
+            for cv, target in inst.cases():
+                if cv.value == value.value:
+                    taken = target
+                    break
+            self._mark_edge(block, taken)
+        elif value == BOTTOM:
+            for target in inst.targets:
+                self._mark_edge(block, target)
 
     # -- driver -------------------------------------------------------------------
     def solve(self) -> None:
         entry = self.fn.entry
         self.executable_blocks.add(id(entry))
         self.block_worklist.append(entry)
+        visitor = _VISITORS.get
+        other = SCCPSolver._visit_other
         while self.block_worklist or self.ssa_worklist:
             while self.ssa_worklist:
                 inst = self.ssa_worklist.pop()
                 if inst.parent is not None and id(inst.parent) in self.executable_blocks:
-                    self._visit(inst)
+                    visitor(inst.__class__, other)(self, inst)
             while self.block_worklist:
                 block = self.block_worklist.pop()
                 for inst in block.instructions:
-                    self._visit(inst)
+                    visitor(inst.__class__, other)(self, inst)
 
     # -- applying the solution ----------------------------------------------------
     def apply(self) -> bool:
@@ -241,6 +273,24 @@ class SCCPSolver:
         changed |= remove_unreachable_blocks(self.fn)
         changed |= erase_trivially_dead(self.fn)
         return changed
+
+
+#: Transfer function per instruction class (every class not listed takes
+#: ``_visit_other``: void, or overdefined once its operands are known).
+_VISITORS = {
+    Phi: SCCPSolver._visit_phi,
+    Branch: SCCPSolver._visit_branch,
+    Switch: SCCPSolver._visit_switch,
+    Ret: SCCPSolver._visit_ret,
+    Call: SCCPSolver._visit_call,
+    Load: SCCPSolver._visit_memory,
+    Alloca: SCCPSolver._visit_memory,
+    BinaryOp: SCCPSolver._visit_binary,
+    ICmp: SCCPSolver._visit_icmp,
+    FCmp: SCCPSolver._visit_fcmp,
+    Cast: SCCPSolver._visit_cast,
+    Select: SCCPSolver._visit_select,
+}
 
 
 @register_pass

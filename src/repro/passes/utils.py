@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..ir.instructions import Branch, Instruction, Phi
+from ..ir.builder import IRBuilder
+from ..ir.instructions import Branch, Instruction, Phi, Switch
 from ..ir.module import BasicBlock, Function
-from ..ir.values import UndefValue, Value
+from ..ir.values import ConstantInt, UndefValue, Value
 
 
 def replace_and_erase(inst: Instruction, replacement: Value) -> None:
@@ -89,8 +90,6 @@ def split_edge(pred: BasicBlock, succ: BasicBlock, name: str = "") -> BasicBlock
     """Insert a fresh block on the edge pred->succ; returns the new block."""
     fn = pred.parent
     assert fn is not None
-    from ..ir.builder import IRBuilder
-
     mid = fn.add_block(name or fn.next_name("split"))
     term = pred.terminator
     assert term is not None
@@ -108,9 +107,6 @@ def split_edge(pred: BasicBlock, succ: BasicBlock, name: str = "") -> BasicBlock
 def constant_fold_terminator(block: BasicBlock) -> bool:
     """Turn a conditional branch on a constant into an unconditional one,
     and fold switches over constants."""
-    from ..ir.instructions import Switch
-    from ..ir.values import ConstantInt
-
     term = block.terminator
     if isinstance(term, Branch) and term.is_conditional:
         cond = term.condition
@@ -118,8 +114,6 @@ def constant_fold_terminator(block: BasicBlock) -> bool:
             taken = term.true_target if cond.value else term.false_target
             dead = term.false_target if cond.value else term.true_target
             term.erase_from_parent()
-            from ..ir.builder import IRBuilder
-
             IRBuilder(block).br(taken)
             if dead is not taken:
                 dead.remove_phi_incoming_for(block)
@@ -127,8 +121,6 @@ def constant_fold_terminator(block: BasicBlock) -> bool:
         if term.true_target is term.false_target:
             target = term.true_target
             term.erase_from_parent()
-            from ..ir.builder import IRBuilder
-
             IRBuilder(block).br(target)
             return True
     if isinstance(term, Switch):
@@ -142,8 +134,6 @@ def constant_fold_terminator(block: BasicBlock) -> bool:
             others = {id(b) for b in term.targets if b is not taken}
             all_targets = term.targets
             term.erase_from_parent()
-            from ..ir.builder import IRBuilder
-
             IRBuilder(block).br(taken)
             for target in all_targets:
                 if id(target) in others:
@@ -152,8 +142,6 @@ def constant_fold_terminator(block: BasicBlock) -> bool:
         if term.num_cases == 0:
             target = term.default
             term.erase_from_parent()
-            from ..ir.builder import IRBuilder
-
             IRBuilder(block).br(target)
             return True
     return False

@@ -157,14 +157,18 @@ def test_second_env_replays_only_the_lag(monkeypatch, suite, name, target):
     assert modules_equivalent(expected, got) is None
 
 
+def validation_programs():
+    return [
+        program for suite_name in ("mibench", "spec2006", "spec2017")
+        for program in load_suite(suite_name)
+    ]
+
+
 def test_changed_actions_alone_print_the_same_ir():
     """No-op actions leave no trace in the printed IR: a second env that
     takes only the changed actions of a first env's random rollout ends
     on the same text, not just the same fingerprint."""
-    suite = [
-        program for suite_name in ("mibench", "spec2006", "spec2017")
-        for program in load_suite(suite_name)
-    ]
+    suite = validation_programs()
     for seed in (0, 2, 7):
         for name, module in suite:
             first = PhaseOrderingEnv(module, metrics=MetricsEngine())
@@ -181,6 +185,23 @@ def test_changed_actions_alone_print_the_same_ir():
             assert print_module(second.current) == print_module(
                 first.current
             ), (name, seed)
+
+
+def test_apply_actions_replay_prints_the_rollout_ir():
+    """``PosetRL.apply_actions`` without a ``predict`` memo replays every
+    action, no-ops included, on a clone; it ends on the same text as
+    the env's rollout of the same actions."""
+    agent = PosetRL(seed=0)
+    suite = validation_programs()
+    for seed in (0, 2, 7):
+        for name, module in suite:
+            env = PhaseOrderingEnv(module, metrics=MetricsEngine())
+            actions = fixed_actions(env.num_actions, seed)
+            env.rollout(actions)
+            replayed = agent.apply_actions(module, actions)
+            assert print_module(replayed) == print_module(env.current), (
+                name, seed,
+            )
 
 
 class _AddMarker(ModulePass):

@@ -220,3 +220,61 @@ entry:
         # `visible` is external: other TUs may call it with anything, so its
         # body must stay general.
         assert run_module(module, "visible", [10])[0] == 11
+
+    def test_round_cap_truncates_a_caller_first_chain(self):
+        """Rounds visit functions in module order, so in a caller-first
+        chain each round moves the callee's constant return up one level
+        only. With a chain deeper than ``MAX_ROUNDS`` the cap stops
+        propagation part-way, exactly where solving every function every
+        round stops it; a solver run to a full fixpoint would fold the
+        whole chain."""
+        from repro.ir import Call, print_module
+        from repro.passes.ipo.ipsccp import IPSCCP
+        from tests.passes_reference import reference_passes
+
+        depth = IPSCCP.MAX_ROUNDS + 3
+        chain = "".join(
+            f"""
+define internal i32 @f{i}(i32 %x) {{
+entry:
+  %r = call i32 @f{i + 1}(i32 %x)
+  ret i32 %r
+}}
+"""
+            for i in range(depth - 1)
+        )
+        module = build_module(
+            f"""
+define i32 @entry(i32 %n) {{
+entry:
+  %r = call i32 @f0(i32 %n)
+  ret i32 %r
+}}
+{chain}
+define internal i32 @f{depth - 1}(i32 %x) {{
+entry:
+  ret i32 42
+}}
+"""
+        )
+        fast, reference = module.clone(), module.clone()
+        run_passes(fast, ["ipsccp"])
+        with reference_passes():
+            run_passes(reference, ["ipsccp"])
+        verify_module(fast)
+        assert print_module(fast) == print_module(reference)
+        assert run_module(fast, "entry", [0])[0] == 42
+
+        def call_result_used(caller):
+            fn = fast.get_function(caller)
+            (call,) = [i for i in fn.instructions() if isinstance(i, Call)]
+            return call.has_uses
+
+        # Round k learns the constant of f{depth-k}: the calls to those
+        # functions fold, the rest stay.
+        folded = {f"f{depth - k}" for k in range(1, IPSCCP.MAX_ROUNDS + 1)}
+        for i in range(depth - 1):
+            caller = f"f{i}"
+            callee = f"f{i + 1}"
+            assert call_result_used(caller) == (callee not in folded), caller
+        assert call_result_used("entry")
