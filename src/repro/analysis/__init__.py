@@ -1,6 +1,5 @@
 """Program analyses over the miniature IR."""
 
-from .blockfreq import BlockFrequency, DEFAULT_TRIP_COUNT
 from .callgraph import CallGraph
 from .cfg import (
     postorder,
@@ -10,7 +9,6 @@ from .cfg import (
     reverse_postorder,
 )
 from .dominators import DominatorTree
-from .liveness import Liveness
 from .loops import Loop, LoopInfo
 from .memdep import (
     clobbers_between,
@@ -19,17 +17,12 @@ from .memdep import (
     pointer_escapes,
     underlying_object,
 )
-from .reaching import ReachingStores
 
 __all__ = [
-    "BlockFrequency",
     "CallGraph",
-    "DEFAULT_TRIP_COUNT",
     "DominatorTree",
-    "Liveness",
     "Loop",
     "LoopInfo",
-    "ReachingStores",
     "clobbers_between",
     "may_alias",
     "must_alias",

@@ -103,13 +103,6 @@ def _access_size(pointer: Value) -> Optional[int]:
     return None
 
 
-def written_pointer(inst: Instruction) -> Optional[Value]:
-    """The pointer written by ``inst``, if it writes exactly one location."""
-    if isinstance(inst, Store):
-        return inst.pointer
-    return None
-
-
 def pointer_escapes(alloca: Alloca) -> bool:
     """Conservative escape check: the address leaves the function if it is
     used by anything but direct loads/stores/GEPs/casts (recursively)."""

@@ -1,10 +1,9 @@
 """Code generation cost models: instruction selection and object size."""
 
-from .isel import lower_block, lower_function, lower_instruction
+from .isel import lower_instruction
 from .objfile import (
     FunctionSizeReport,
     SizeReport,
-    function_text_size,
     object_size,
 )
 from .target import AARCH64, TARGETS, TargetDescriptor, X86_64, get_target
@@ -16,10 +15,7 @@ __all__ = [
     "TARGETS",
     "TargetDescriptor",
     "X86_64",
-    "function_text_size",
     "get_target",
-    "lower_block",
-    "lower_function",
     "lower_instruction",
     "object_size",
 ]

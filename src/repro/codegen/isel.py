@@ -9,7 +9,7 @@ copies, argument setup, etc.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..ir.instructions import (
     Alloca,
@@ -31,7 +31,6 @@ from ..ir.instructions import (
     Switch,
     Unreachable,
 )
-from ..ir.module import BasicBlock, Function
 from ..ir.types import FloatType, IntType, VectorType
 from ..ir.values import ConstantInt, ConstantVector
 from .target import TargetDescriptor
@@ -234,15 +233,3 @@ def lower_instruction(
         else:  # pragma: no cover - all instructions covered above
             raise TypeError(f"cannot lower {inst!r}")
     return lower(inst, target)
-
-
-def lower_block(block: BasicBlock, target: TargetDescriptor) -> List[str]:
-    ops: List[str] = []
-    for inst in block.instructions:
-        ops.extend(lower_instruction(inst, target))
-    return ops
-
-
-def lower_function(fn: Function, target: TargetDescriptor) -> Dict[int, List[str]]:
-    """Machine ops per block (keyed by id(block))."""
-    return {id(b): lower_block(b, target) for b in fn.blocks}

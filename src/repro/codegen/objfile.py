@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from ..analysis.liveness import Liveness
-from ..ir.flat import FlatFunction, byte_row
-from ..ir.instructions import Alloca
-from ..ir.module import Function, Module
-from ..ir.values import ConstantString, GlobalVariable
-from .isel import lower_function
+from ..ir.flat import FlatFunction, byte_row, flat_functions
+from ..ir.module import Module
+from ..ir.values import GlobalVariable
+from ..mca.ports import get_port_model
 from .target import TargetDescriptor, get_target
 
 ELF_HEADER_BYTES = 64
@@ -60,38 +58,16 @@ def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
 
 
-def function_text_size(fn: Function, target: TargetDescriptor) -> FunctionSizeReport:
-    ops_by_block = lower_function(fn, target)
-    body = 0
-    op_count = 0
-    for ops in ops_by_block.values():
-        op_count += len(ops)
-        for op in ops:
-            body += target.bytes_for(op)
-
-    text = target.prologue_bytes + body + target.epilogue_bytes
-    if any(isinstance(i, Alloca) for i in fn.instructions()):
-        text += target.frame_setup_bytes
-
-    # Register-pressure spill model: every live value beyond the register
-    # file costs a spill/reload pair somewhere.
-    pressure = Liveness(fn).max_pressure()
-    spills = max(0, pressure - target.num_gp_registers)
-    text += spills * target.spill_bytes
-
-    return FunctionSizeReport(
-        name=fn.name,
-        text_bytes=_align(text, target.function_alignment),
-        machine_ops=op_count,
-        spill_pairs=spills,
-    )
-
-
 def flat_function_text_size(
     ff: FlatFunction, target: TargetDescriptor
 ) -> FunctionSizeReport:
-    """:func:`function_text_size` over a flat view: one dot product of the
-    machine-op count vector with the target's byte-cost row."""
+    """Text bytes of one function from its flat view.
+
+    Lowered machine ops (one dot product of the machine-op count vector
+    with the target's byte-cost row) plus prologue/epilogue, frame setup
+    when the function has an alloca, and a register-pressure spill model:
+    every live value beyond the register file costs a spill/reload pair
+    somewhere. Padded to the target's function alignment."""
     row = byte_row(target)
     body = int(row @ ff.fn_mop_counts)
     op_count = int(ff.fn_mop_counts.sum())
@@ -123,11 +99,18 @@ def object_size(module: Module, target="x86-64") -> SizeReport:
     """Size of the object file produced from ``module`` for ``target``."""
     if isinstance(target, str):
         target = get_target(target)
-    return _size_from_functions(module, target, [
-        function_text_size(fn, target)
-        for fn in module.functions
-        if not fn.is_declaration
-    ])
+    views = flat_functions(module, target, get_port_model(target.name))
+    return size_of_views(module, target, views)
+
+
+def size_of_views(
+    module: Module, target: TargetDescriptor, views: List[FlatFunction]
+) -> SizeReport:
+    """:func:`object_size` from the flat views of ``module``'s defined
+    functions (:func:`~repro.ir.flat.flat_functions`)."""
+    return _size_from_functions(
+        module, target, [flat_function_text_size(ff, target) for ff in views]
+    )
 
 
 def _size_from_functions(

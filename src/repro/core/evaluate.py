@@ -14,9 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..codegen.objfile import object_size
+from ..codegen.objfile import size_of_views
+from ..codegen.target import get_target
+from ..ir.flat import flat_functions
 from ..ir.module import Module
-from ..mca.sched import estimate_throughput
+from ..mca.ports import get_port_model
+from ..mca.sched import summary_of_views
 from ..passes.pipelines import build_pipeline
 
 
@@ -85,9 +88,16 @@ class SuiteSummary:
 
 
 def measure(module: Module, target: str) -> Dict[str, float]:
+    """Object size and MCA cycles of ``module`` for ``target`` (equal to
+    ``object_size`` and ``estimate_throughput``), flattening each
+    function once for both."""
+    descriptor, model = get_target(target), get_port_model(target)
+    views = flat_functions(module, descriptor, model)
     return {
-        "size": object_size(module, target).total_bytes,
-        "cycles": estimate_throughput(module, target).total_cycles,
+        "size": size_of_views(module, descriptor, views).total_bytes,
+        "cycles": summary_of_views(
+            module, descriptor.name, model, views
+        ).total_cycles,
     }
 
 

@@ -15,10 +15,10 @@ fingerprints (:mod:`repro.ir.fingerprint`):
   agent revisiting a known prefix skips passes and measurements. Entries
   hold no module: an env replays its hits' actions on its own module.
 
-Records are combined by the same module-level steps the standalone
-object-walk measurements use (``object_size``, ``estimate_throughput``,
-``IR2VecEncoder.program_embedding``), so an engine measurement is
-bit-identical to a standalone one.
+The uncached public measurements (``object_size``,
+``estimate_throughput``, ``IR2VecEncoder.program_embedding``) run the
+same flat kernels and combine their results with the same module-level
+steps, so an engine measurement is bit-identical to an uncached one.
 
 One engine is intended to be shared across environments and episodes
 (:class:`~repro.core.agent_api.PosetRL` owns one); fingerprint keys make

@@ -19,10 +19,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..codegen.objfile import object_size
 from ..ir.module import Module
-from ..mca.sched import estimate_throughput
 from .environment import ActionSpace, PhaseOrderingEnv, greedy_rollout
+from .metrics import ModuleMetrics
 from .rewards import RewardWeights, combined_reward
 
 __all__ = [
@@ -70,16 +69,18 @@ def rollout_policy(
 
 
 def _lookahead_chooser(
-    score: Callable[[PhaseOrderingEnv, Module], float]
+    score: Callable[[PhaseOrderingEnv, ModuleMetrics], float]
 ) -> Callable[[PhaseOrderingEnv], int]:
-    """Chooser that applies every action to a clone and keeps the best."""
+    """Chooser that applies every action to a clone, measures it with the
+    env's metrics engine (so functions an action left unchanged reuse
+    their cached records) and keeps the best score."""
 
     def choose(env: PhaseOrderingEnv) -> int:
         best_action, best_score = 0, None
         for action in range(env.num_actions):
             trial = env.current.clone()
             env.action_space.apply(action, trial)
-            s = score(env, trial)
+            s = score(env, env.metrics.measure(trial))
             if best_score is None or s > best_score:
                 best_action, best_score = action, s
         return best_action
@@ -96,12 +97,11 @@ def greedy_reward_policy(
 ) -> PolicyResult:
     """Maximize the paper's combined reward one step at a time."""
 
-    def score(env: PhaseOrderingEnv, trial: Module) -> float:
-        size = object_size(trial, env.target).total_bytes
-        tp = estimate_throughput(trial, env.target).throughput
+    def score(env: PhaseOrderingEnv, trial: ModuleMetrics) -> float:
         return combined_reward(
-            env.last_size, size, env.base_size,
-            env.last_throughput, tp, env.base_throughput, weights,
+            env.last_size, trial.size, env.base_size,
+            env.last_throughput, trial.throughput, env.base_throughput,
+            weights,
         )
 
     return rollout_policy(
@@ -117,8 +117,8 @@ def greedy_size_policy(
 ) -> PolicyResult:
     """Minimize object size one step at a time (β = 0 extreme)."""
 
-    def score(env: PhaseOrderingEnv, trial: Module) -> float:
-        return -float(object_size(trial, env.target).total_bytes)
+    def score(env: PhaseOrderingEnv, trial: ModuleMetrics) -> float:
+        return -float(trial.size)
 
     return rollout_policy(module, _lookahead_chooser(score), action_space, target, steps)
 
@@ -131,8 +131,8 @@ def greedy_throughput_policy(
 ) -> PolicyResult:
     """Minimize estimated cycles one step at a time (α = 0 extreme)."""
 
-    def score(env: PhaseOrderingEnv, trial: Module) -> float:
-        return -estimate_throughput(trial, env.target).total_cycles
+    def score(env: PhaseOrderingEnv, trial: ModuleMetrics) -> float:
+        return -trial.cycles
 
     return rollout_policy(module, _lookahead_chooser(score), action_space, target, steps)
 

@@ -7,7 +7,6 @@ from .ir2vec import (
     W_LIVE,
     W_OPCODE,
     W_TYPE,
-    function_embedding,
     program_embedding,
 )
 from .vocabulary import DIMENSION, Vocabulary, default_vocabulary
@@ -22,6 +21,5 @@ __all__ = [
     "W_OPCODE",
     "W_TYPE",
     "default_vocabulary",
-    "function_embedding",
     "program_embedding",
 ]

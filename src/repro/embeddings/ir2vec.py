@@ -12,26 +12,21 @@ signal the size reward pays for); the DQN consumes these as 300-d states.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.liveness import Liveness
-from ..analysis.reaching import ReachingStores
+from ..codegen.target import X86_64
 from ..ir.flat import (
     OPCODE_TABLE,
     OPERAND_KINDS,
     TYPE_KIND_TABLE,
     FlatFunction,
-    operand_kind_code,
-    operand_kind_name,
-    type_kind_name,
+    flat_functions,
 )
-from ..ir.instructions import Instruction, Load
-from ..ir.module import BasicBlock, Function, Module
-from ..ir.types import Type
-from ..ir.values import Value
-from .vocabulary import DIMENSION, Vocabulary, default_vocabulary
+from ..ir.module import Module
+from ..mca.ports import SKYLAKE
+from .vocabulary import Vocabulary, default_vocabulary
 
 #: IR2Vec composition weights.
 W_OPCODE = 1.0
@@ -43,32 +38,21 @@ W_FLOW = 0.2
 W_LIVE = 0.1
 
 
-def _type_kind(ty: Type) -> str:
-    return type_kind_name(ty)
-
-
-def _operand_kind(value: Value) -> str:
-    return operand_kind_name(value)
-
-
 def _weighted_reduce(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``Σ weights[i] * rows[i]`` — the one reduction both the object and
-    flat embedding paths share, so a function embedding is the same bits
-    no matter which path produced the (identical) inputs."""
+    """``Σ weights[i] * rows[i]`` — the function embedding's reduction,
+    shared with the test suite's object-walk reference so both produce
+    the same bits from the same inputs."""
     return np.add.reduce(weights[:, None] * rows, axis=0)
 
 
 class IR2VecEncoder:
-    """Produces instruction / function / program embeddings."""
+    """Produces function and program embeddings."""
 
     def __init__(self, vocabulary: Optional[Vocabulary] = None):
         self.vocab = vocabulary or default_vocabulary()
         self.dimension = self.vocab.dimension
-        # Weight-premultiplied seed vectors (Wo·opcode, Wt·type, Wa·kind):
-        # both the scalar and flat paths consume these products, so the
-        # single table multiplication replaces one per accumulation.
-        self._opcode_vecs: Dict[str, np.ndarray] = {}
-        self._ty_vecs: Dict[str, np.ndarray] = {}
+        # Weight-premultiplied operand-kind seeds (Wa·kind), in
+        # canonical OPERAND_KINDS order.
         self._kind_vecs = tuple(
             W_ARG * self.vocab.operand_kind(kind) for kind in OPERAND_KINDS
         )
@@ -76,83 +60,6 @@ class IR2VecEncoder:
             Tuple[Tuple[int, int], np.ndarray, np.ndarray, np.ndarray]
         ] = None
 
-    # -- level 0: seed (syntactic) embeddings ------------------------------
-    def seed_instruction(self, inst: Instruction) -> np.ndarray:
-        """Seed = Wo·opcode + Wt·type + Wa·(operand-kind counts).
-
-        Accumulates in place into one preallocated vector, with the vocab
-        lookups hoisted into per-encoder tables. Operand contributions add
-        in canonical :data:`~repro.ir.flat.OPERAND_KINDS` order (counted,
-        not per-operand), the same order the flat gather kernel uses — the
-        two paths therefore run the identical float-op sequence.
-        """
-        opv = self._opcode_vecs.get(inst.opcode)
-        if opv is None:
-            opv = W_OPCODE * self.vocab.opcode(inst.opcode)
-            opv.setflags(write=False)
-            self._opcode_vecs[inst.opcode] = opv
-        vec = opv.copy()
-        kind = _type_kind(inst.type)
-        tyv = self._ty_vecs.get(kind)
-        if tyv is None:
-            tyv = W_TYPE * self.vocab.type_kind(kind)
-            tyv.setflags(write=False)
-            self._ty_vecs[kind] = tyv
-        vec += tyv
-        counts = [0.0] * len(OPERAND_KINDS)
-        for op in inst.operands:
-            counts[operand_kind_code(op)] += 1.0
-        for k, kv in enumerate(self._kind_vecs):
-            vec += counts[k] * kv
-        return vec
-
-    # -- level 1: flow-aware instruction embeddings --------------------------
-    def function_instruction_embeddings(
-        self, fn: Function
-    ) -> Dict[int, np.ndarray]:
-        seeds: Dict[int, np.ndarray] = {}
-        for inst in fn.instructions():
-            seeds[id(inst)] = self.seed_instruction(inst)
-
-        reaching = ReachingStores(fn)
-        flowed: Dict[int, np.ndarray] = {}
-        for inst in fn.instructions():
-            vec = seeds[id(inst)].copy()
-            # Use-def flow: embeddings of SSA defs this instruction reads.
-            for op in inst.operands:
-                if isinstance(op, Instruction) and id(op) in seeds:
-                    vec += W_FLOW * seeds[id(op)]
-            # Memory flow: stores that may reach a load.
-            if isinstance(inst, Load):
-                for store in reaching.stores_for(inst):
-                    if id(store) in seeds:
-                        vec += W_FLOW * seeds[id(store)]
-            flowed[id(inst)] = vec
-        return flowed
-
-    # -- level 2: function and program embeddings -----------------------------
-    def function_embedding(self, fn: Function) -> np.ndarray:
-        """Embedding of one function (zeros for a declaration)."""
-        if fn.is_declaration:
-            return np.zeros(self.dimension)
-        return self._compute_function_embedding(fn)
-
-    def _compute_function_embedding(self, fn: Function) -> np.ndarray:
-        flowed = self.function_instruction_embeddings(fn)
-        liveness = Liveness(fn)
-        insts = [inst for block in fn.blocks for inst in block.instructions]
-        if not insts:
-            return np.zeros(self.dimension)
-        rows = np.stack([flowed[id(inst)] for inst in insts])
-        weights = np.empty(len(insts))
-        for i, inst in enumerate(insts):
-            weight = 1.0
-            if not inst.type.is_void:
-                weight += W_LIVE * liveness.live_across_blocks(inst)
-            weights[i] = weight
-        return _weighted_reduce(rows, weights)
-
-    # -- flat path ---------------------------------------------------------
     def _flat_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vocab rows stacked for gathering by intern code; re-stacked when
         the (append-only) intern tables grow."""
@@ -171,18 +78,20 @@ class IR2VecEncoder:
         return mats[1], mats[2], mats[3]
 
     def flat_function_embedding(self, ff: FlatFunction) -> np.ndarray:
-        """The object embedding as array kernels over a flat view.
+        """Embedding of one function definition from its flat view.
 
-        Instructions with the same opcode, type kind and operand-kind
-        counts have the same seed, so each distinct seed is computed once
-        — one gather + scaled adds in canonical operand-kind order — and
-        gathered per instruction. The flow pass adds ``W_FLOW * seed`` to
-        each destination round by round (destinations are unique within
-        a round, and a destination's contributions arrive in its original
-        operand order — the same float-op sequence as the scalar loop);
-        the liveness-weighted reduction is the shared
-        :func:`_weighted_reduce`. Bit-identical to
-        :meth:`_compute_function_embedding` by construction.
+        Level 0, seeds: ``Wo·opcode + Wt·type + Wa·(operand-kind
+        counts)``. Instructions with the same opcode, type kind and
+        operand-kind counts have the same seed, so each distinct seed is
+        computed once — one gather + scaled adds in canonical
+        operand-kind order — and gathered per instruction. Level 1, flow:
+        each instruction adds ``W_FLOW * seed`` of the SSA defs it reads
+        and, for a load, of the stores that may reach it, round by round
+        (destinations are unique within a round, and a destination's
+        contributions arrive in operand-then-reaching-store order). Level
+        2: the sum of instruction embeddings, each weighted by
+        ``1 + W_LIVE * (blocks its value is live into)`` (void results
+        weigh 1), through :func:`_weighted_reduce`.
         """
         opm, tym, kindm = self._flat_matrices()
         key = np.empty((ff.n_inst, 2 + len(OPERAND_KINDS)), np.int64)
@@ -220,12 +129,13 @@ class IR2VecEncoder:
         embeddings — magnitude therefore scales with program size, which
         is a first-class feature for the size-oriented agent (a mean would
         erase exactly the signal the reward pays for). A constant scale
-        keeps values in a comfortable range for the Q-network.
+        keeps values in a comfortable range for the Q-network. The
+        embedding does not depend on the target; the views are built for
+        x86-64.
         """
         return _embedding_from_functions(self.dimension, [
-            self._compute_function_embedding(fn)
-            for fn in module.functions
-            if not fn.is_declaration
+            self.flat_function_embedding(ff)
+            for ff in flat_functions(module, X86_64, SKYLAKE)
         ])
 
 
@@ -246,7 +156,3 @@ _DEFAULT_ENCODER = IR2VecEncoder()
 def program_embedding(module: Module) -> np.ndarray:
     """Encode a module with the default vocabulary."""
     return _DEFAULT_ENCODER.program_embedding(module)
-
-
-def function_embedding(fn: Function) -> np.ndarray:
-    return _DEFAULT_ENCODER.function_embedding(fn)

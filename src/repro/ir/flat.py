@@ -1,4 +1,4 @@
-"""Flat struct-of-arrays IR core for the metric kernels.
+"""Flat struct-of-arrays IR core: the one implementation of the metrics.
 
 The object IR (:mod:`repro.ir.module`) stays the source of truth and the
 view the passes mutate. This module mirrors one *function* of it into a
@@ -8,26 +8,30 @@ machine-op stream as per-block count matrices, dependence structure as
 CSR adjacency, and the analysis results every metric consumer reads
 (block frequencies, liveness spans, reaching-store flow edges). The
 build walks the IR once, and computes those analyses on the integer CFG
-that walk gathers; the object analyses in :mod:`repro.analysis` compute
-the same results and are the tests' oracle. The metric kernels —
+that walk gathers. The metric kernels —
 :func:`repro.codegen.objfile.flat_function_text_size`,
 :func:`repro.mca.sched.flat_analyze_function` and
 :meth:`repro.embeddings.ir2vec.IR2VecEncoder.flat_function_embedding` —
-run over these views instead of per-instruction walks of the object IR.
+run over these views, and they are the only production implementation
+of object size, MCA throughput and the IR2Vec embedding.
 
 Views are transient. The metrics engine (:mod:`repro.core.metrics`)
 builds one when its fingerprint-keyed record cache misses on a function,
 runs the size, MCA and embedding kernels on it, keeps only their results
 and drops the view; a module where one of N functions mutated therefore
-re-flattens only that function's rows.
+re-flattens only that function's rows. The uncached public measurements
+(``object_size``, ``estimate_throughput``, ``program_embedding``,
+``core.evaluate.measure``) build the views of a module with
+:func:`flat_functions` and combine the same kernels' results.
 
-Every kernel is required to be **bit-identical** to the object-walking
-path (the equivalence suites compare them with ``==``/``array_equal``).
-The build therefore records not just *what* the object analyses compute
-but the *order* the scalar loops combine floats in: flow edges keep
-operand-then-reaching-store order per instruction, call edges keep
-instruction order, and the consumers replicate the exact sequence of
-IEEE-754 operations (see the kernel comments in the consumer modules).
+The test suite keeps the per-instruction object walks the kernels
+replaced (``tests/metrics_reference.py``, ``tests/analysis_reference.py``)
+as the oracle, and compares with ``==``/``array_equal``. The build
+therefore records not just *what* those analyses compute but the *order*
+they combine floats in: flow edges keep operand-then-reaching-store
+order per instruction, call edges keep instruction order, and the
+consumers replicate the exact sequence of IEEE-754 operations (see the
+kernel comments in the consumer modules).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .instructions import (
     Store,
     Switch,
 )
-from .module import BasicBlock, Function
+from .module import BasicBlock, Function, Module
 from .types import (
     ArrayType,
     FloatType,
@@ -69,12 +73,16 @@ _MOP_CODE: Dict[str, int] = {name: i for i, name in enumerate(MACHINE_OPS)}
 N_MACHINE_OPS = len(MACHINE_OPS)
 
 #: Operand-kind code order. This is also the canonical *accumulation
-#: order* for IR2Vec seed embeddings: both the object fallback and the
-#: flat kernel add operand-kind contributions in exactly this sequence,
-#: which is what makes the two paths produce bit-identical floats.
+#: order* for IR2Vec seed embeddings: the flat kernel (and the test
+#: suite's object-walk reference) add operand-kind contributions in
+#: exactly this sequence.
 OPERAND_KINDS: Tuple[str, ...] = (
     "constant", "argument", "instruction", "global", "block", "function",
 )
+
+#: Assumed iterations for loops of unknown trip count (matches LLVM's
+#: BlockFrequencyInfo default heuristics closely enough for ranking).
+DEFAULT_TRIP_COUNT = 10.0
 
 
 def operand_kind_code(value: Value) -> int:
@@ -94,10 +102,6 @@ def operand_kind_code(value: Value) -> int:
     if isinstance(value, Argument):
         return 1
     return 2
-
-
-def operand_kind_name(value: Value) -> str:
-    return OPERAND_KINDS[operand_kind_code(value)]
 
 
 def type_kind_name(ty: Type) -> str:
@@ -226,8 +230,6 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
     Block frequencies, liveness and reaching stores then run on the index
     CFG (:func:`_block_frequencies`, :func:`_liveness`,
     :func:`_reaching_stores`), so the kernels never touch the object IR.
-    The object analyses in :mod:`repro.analysis` compute the same results
-    and are the tests' oracle.
     """
     # Lazy imports: these modules import repro.ir themselves.
     from ..codegen.isel import lower_instruction
@@ -505,13 +507,23 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
     return ff
 
 
+def flat_functions(module: Module, descriptor, model) -> List[FlatFunction]:
+    """Views of every defined function of ``module``, in module order."""
+    return [
+        build_flat_function(fn, descriptor, model)
+        for fn in module.functions
+        if not fn.is_declaration
+    ]
+
+
 # -- analyses on the index CFG ----------------------------------------------
 #
 # Blocks are numbered in layout order. ``succs[b]`` lists the successor
 # block numbers in terminator order, duplicates kept; ``preds[b]`` the
 # predecessors in layout order, without repeats. Each function computes
-# what its object counterpart in :mod:`repro.analysis` computes, visiting
-# blocks and edges in the same order wherever the result depends on it.
+# what its object-walk reference in ``tests/analysis_reference.py``
+# computes, visiting blocks and edges in the same order wherever the
+# result depends on it.
 
 
 def _reaching_stores(
@@ -523,8 +535,7 @@ def _reaching_stores(
     flow_src: List[int],
     flow_occ: List[int],
 ) -> None:
-    """:class:`~repro.analysis.reaching.ReachingStores` over bitsets of
-    store ordinals; appends each load's reaching stores, in instruction
+    """Reaching stores over bitsets of store ordinals; appends each load's reaching stores, in instruction
     order, to the flow edges after its operand edges."""
     from ..analysis.memdep import may_alias
 
@@ -589,8 +600,9 @@ def _liveness(
     phi_bits: List[int],
     n_inst: int,
 ) -> Tuple[np.ndarray, int]:
-    """:class:`~repro.analysis.liveness.Liveness` over per-block bitsets
-    of instruction indices: ``(live_across, max_pressure)``.
+    """Liveness over per-block bitsets of instruction indices:
+    ``(live_across, max_pressure)``. A value is live across the blocks it
+    is live into; the pressure is the largest live-out set.
 
     The fixpoint is the unique least one, whatever the visit order."""
     n_blocks = len(succs)
@@ -694,7 +706,8 @@ def _block_frequencies(
     preds: List[List[int]],
     probs: List[List[float]],
 ) -> List[float]:
-    """:class:`~repro.analysis.blockfreq.BlockFrequency` on the index CFG.
+    """Relative execution frequency per block (entry = 1.0) on the index
+    CFG: ``trip**loop_depth`` scaled by branch probabilities.
 
     Natural loops are found as :class:`~repro.analysis.loops.LoopInfo`
     finds them (same loop order, body order, nesting and innermost-loop
@@ -702,7 +715,6 @@ def _block_frequencies(
     counts come from :func:`~repro.passes.loops.iv.analyze_loop` on
     :class:`~repro.analysis.loops.Loop` records built from the result.
     """
-    from ..analysis.blockfreq import DEFAULT_TRIP_COUNT
     from ..analysis.loops import Loop
     from ..passes.loops.iv import analyze_loop
 
@@ -776,9 +788,10 @@ def _block_frequencies(
         for lp in range(n_loops)
     ]
 
-    # Acyclic flow in RPO (see BlockFrequency._compute): back edges are
-    # skipped and a loop-exit edge carries the flow that entered the
-    # loop, split across its exit edges.
+    # Acyclic flow in RPO with loop-aware conservation: back edges are
+    # skipped, and a loop-exit edge carries the flow that entered the
+    # loop, split across its exit edges, so code after a loop runs as
+    # often as code before it.
     freq[0] = 1.0
     for b in reversed(post):
         f = freq[b]

@@ -143,7 +143,19 @@ class User(Value):
 
 
 class Constant(Value):
-    """Base class for compile-time constants."""
+    """Base class for compile-time constants.
+
+    Non-global constants keep no use list. They are immutable and shared:
+    a module clone keeps the original's constants, so a use list on one
+    would tie every clone's instructions to the original module and keep
+    dropped clones alive. :class:`GlobalValue` keeps its uses.
+    """
+
+    def add_use(self, use: Use) -> None:
+        pass
+
+    def remove_use(self, use: Use) -> None:
+        pass
 
     def ref(self) -> str:
         raise NotImplementedError
@@ -325,6 +337,9 @@ class GlobalValue(Constant):
     ``linkage`` is either ``"external"`` (visible outside the module) or
     ``"internal"`` (static; eligible for whole-module optimizations).
     """
+
+    add_use = Value.add_use
+    remove_use = Value.remove_use
 
     def __init__(self, ty: PointerType, name: str, linkage: str = "external"):
         super().__init__(ty)

@@ -12,7 +12,7 @@ from typing import List, Set
 from .instructions import Branch, Call, Instruction, Phi, Ret, Switch
 from .module import BasicBlock, Function, Module
 from .types import FunctionType, VOID
-from .values import Argument, Constant, Value
+from .values import Argument, Constant, GlobalValue, Value
 
 
 class VerificationError(Exception):
@@ -186,11 +186,14 @@ def _verify_ssa(fn: Function) -> List[str]:
 
 
 def _verify_uses(fn: Function) -> List[str]:
-    """Check def-use bookkeeping consistency."""
+    """Check def-use bookkeeping consistency of every operand that keeps a
+    use list (non-global constants keep none)."""
     errors: List[str] = []
     for block in fn.blocks:
         for inst in block.instructions:
             for i, op in enumerate(inst.operands):
+                if isinstance(op, Constant) and not isinstance(op, GlobalValue):
+                    continue
                 found = any(
                     use.user is inst and use.index == i for use in op.uses
                 )

@@ -5,8 +5,6 @@ from .sched import (
     BlockReport,
     FunctionReport,
     McaSummary,
-    analyze_block,
-    analyze_function,
     estimate_throughput,
 )
 
@@ -18,8 +16,6 @@ __all__ = [
     "PORT_MODELS",
     "PortModel",
     "SKYLAKE",
-    "analyze_block",
-    "analyze_function",
     "estimate_throughput",
     "get_port_model",
 ]

@@ -17,14 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..analysis.blockfreq import BlockFrequency
-from ..analysis.loops import LoopInfo
-from ..ir.flat import FlatFunction, throughput_row
-from ..ir.instructions import Call, Instruction, Phi
-from ..ir.module import BasicBlock, Function, Module
-from ..codegen.isel import lower_instruction
-from ..codegen.target import TargetDescriptor, get_target
-from ..ir.instructions import Branch, Switch
+from ..codegen.target import get_target
+from ..ir.flat import FlatFunction, flat_functions, throughput_row
+from ..ir.module import Module
 from .ports import PortModel, get_port_model
 
 #: Amortized misprediction cost per conditional-control transfer. This is
@@ -51,77 +46,6 @@ class BlockReport:
         return bound + self.branch_overhead
 
 
-def _instruction_latency(
-    inst: Instruction, ops: List[str], model: PortModel
-) -> float:
-    if not ops:
-        return 0.0
-    # The instruction's result latency is its longest component op.
-    return max(model.latency_of(op) for op in ops)
-
-
-def analyze_block(
-    block: BasicBlock,
-    target: TargetDescriptor,
-    model: PortModel,
-    frequency: float = 1.0,
-) -> BlockReport:
-    op_counts: Dict[str, int] = {}
-    uops = 0
-    finish: Dict[int, float] = {}
-    critical = 0.0
-    recurrence = 0.0
-
-    lowered: Dict[int, List[str]] = {}
-    for inst in block.instructions:
-        ops = lower_instruction(inst, target)
-        lowered[id(inst)] = ops
-        uops += len(ops)
-        for op in ops:
-            op_counts[op] = op_counts.get(op, 0) + 1
-
-    for inst in block.instructions:
-        if isinstance(inst, Phi):
-            finish[id(inst)] = 0.0
-            continue
-        ready = 0.0
-        for op in inst.operands:
-            if isinstance(op, Instruction) and id(op) in finish:
-                ready = max(ready, finish[id(op)])
-        lat = _instruction_latency(inst, lowered[id(inst)], model)
-        done = ready + lat
-        finish[id(inst)] = done
-        critical = max(critical, done)
-
-    # Loop-carried recurrence: value feeding a phi of this block from this
-    # block (single-block loop bodies) bounds iteration throughput.
-    for phi in block.phis():
-        for value, pred in phi.incoming():
-            if pred is block and isinstance(value, Instruction):
-                recurrence = max(recurrence, finish.get(id(value), 0.0))
-
-    # The latency bound models the loop-carried recurrence (the quantity
-    # that actually limits iteration throughput); for straight-line code
-    # executed once, out-of-order execution hides in-block chains, and a
-    # small fraction of the critical path stands in for imperfect overlap.
-    term = block.terminator
-    overhead = 0.0
-    if isinstance(term, Branch) and term.is_conditional:
-        overhead = COND_BRANCH_OVERHEAD
-    elif isinstance(term, Switch):
-        overhead = COND_BRANCH_OVERHEAD * max(1, term.num_cases)
-
-    return BlockReport(
-        name=block.name,
-        uops=uops,
-        dispatch_bound=uops / model.dispatch_width,
-        resource_bound=model.pressure_of(op_counts),
-        latency_bound=max(critical / 4.0, recurrence),
-        frequency=frequency,
-        branch_overhead=overhead,
-    )
-
-
 @dataclass
 class FunctionReport:
     name: str
@@ -130,29 +54,18 @@ class FunctionReport:
     blocks: List[BlockReport] = field(default_factory=list)
 
 
-def analyze_function(
-    fn: Function, target: TargetDescriptor, model: PortModel
-) -> FunctionReport:
-    freq = BlockFrequency(fn)
-    blocks = [
-        analyze_block(b, target, model, freq.frequency(b)) for b in fn.blocks
-    ]
-    cycles = sum(b.cycles * b.frequency for b in blocks)
-    uops = sum(b.uops * b.frequency for b in blocks)
-    return FunctionReport(fn.name, cycles, uops, blocks)
-
-
 def flat_analyze_function(ff: FlatFunction, model: PortModel) -> FunctionReport:
-    """:func:`analyze_function` over a flat view.
+    """Per-block MCA bounds of one function from its flat view, and its
+    frequency-weighted cycles and uops per invocation.
 
     The resource bound is one row reduction over the per-block machine-op
     counts. The latency chain walks the non-phi instructions in wavefront
     order (by position within their block, so every dependence is
-    finished first) over plain Python floats. Bit-identical to the scalar
-    loop: the same division (not reciprocal-multiply), the same max-fold
-    over the same operands, and the frequency-weighted totals use
-    Python's left-fold ``sum`` over the per-block products, exactly as
-    the object path folds them.
+    finished first) over plain Python floats: the same division (not
+    reciprocal-multiply) and max-fold over the same operands as a
+    per-instruction walk of each block, and the frequency-weighted totals
+    are Python's left-fold ``sum`` over the per-block products (the order
+    the object-walk reference in the test suite folds them in).
     """
     n_blocks = ff.n_blocks
     resource = (
@@ -183,6 +96,11 @@ def flat_analyze_function(ff: FlatFunction, model: PortModel) -> FunctionReport:
     cycle_terms: List[float] = []
     uop_terms: List[float] = []
     for bi in range(n_blocks):
+        # The latency bound models the loop-carried recurrence (a value
+        # this block feeds back into one of its own phis), the quantity
+        # that limits iteration throughput; for straight-line code,
+        # out-of-order execution hides in-block chains, and a quarter of
+        # the critical path stands in for imperfect overlap.
         critical = max(finish[offsets[bi] : offsets[bi + 1]], default=0.0)
         recurrence = max(
             [finish[j] for j in rec_idx[rec_off[bi] : rec_off[bi + 1]]],
@@ -206,8 +124,8 @@ def flat_analyze_function(ff: FlatFunction, model: PortModel) -> FunctionReport:
 
 
 def flat_call_counts(ff: FlatFunction) -> Dict[str, float]:
-    """:func:`_function_call_counts` from the flat view's recorded call
-    edges (same instruction order, same left-fold accumulation)."""
+    """Frequency-weighted direct-call counts out of one function, from
+    the flat view's call edges (instruction order, left-fold sums)."""
     counts: Dict[str, float] = {}
     for callee, f in ff.call_edges:
         counts[callee] = counts.get(callee, 0.0) + f
@@ -240,20 +158,6 @@ class McaSummary:
         return 1e9 / max(self.total_cycles, 1e-9)
 
 
-def _function_call_counts(fn: Function) -> Dict[str, float]:
-    """Frequency-weighted direct-call counts out of one function."""
-    freq = BlockFrequency(fn)
-    counts: Dict[str, float] = {}
-    for inst in fn.instructions():
-        if isinstance(inst, Call):
-            callee = inst.called_function
-            if callee is None or callee.is_intrinsic:
-                continue
-            f = freq.frequency(inst.parent) if inst.parent else 1.0
-            counts[callee.name] = counts.get(callee.name, 0.0) + f
-    return counts
-
-
 def estimate_throughput(module: Module, target="x86-64") -> McaSummary:
     """LLVM-MCA stand-in: static cycles/throughput for the whole module."""
     if isinstance(target, str):
@@ -262,13 +166,21 @@ def estimate_throughput(module: Module, target="x86-64") -> McaSummary:
     else:  # pragma: no cover - convenience
         descriptor = target
         model = get_port_model(target.name)
-    return _summary_from_functions(module, descriptor.name, {
-        fn.name: (
-            analyze_function(fn, descriptor, model),
-            _function_call_counts(fn),
-        )
-        for fn in module.functions
-        if not fn.is_declaration
+    views = flat_functions(module, descriptor, model)
+    return summary_of_views(module, descriptor.name, model, views)
+
+
+def summary_of_views(
+    module: Module,
+    target_name: str,
+    model: PortModel,
+    views: List[FlatFunction],
+) -> McaSummary:
+    """:func:`estimate_throughput` from the flat views of ``module``'s
+    defined functions (:func:`~repro.ir.flat.flat_functions`)."""
+    return _summary_from_functions(module, target_name, {
+        ff.name: (flat_analyze_function(ff, model), flat_call_counts(ff))
+        for ff in views
     })
 
 

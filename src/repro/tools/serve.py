@@ -5,8 +5,6 @@ or a freshly-seeded policy) — or, with ``--shards N``, a
 :class:`~repro.serving.ShardedGateway` over N worker subprocesses —
 drives it with closed-loop clients over a benchmark suite, and reports
 throughput, p50/p95/p99 latency and the service's guard/cache counters.
-``--compare-serial`` also times the serial per-request
-``PosetRL.predict`` path and prints the speedup.
 
 ``--arrival-rate R`` switches to the **open-loop** harness: Poisson
 arrivals offered at R req/s regardless of completions, with optional
@@ -19,7 +17,7 @@ Examples::
 
     python -m repro.tools.serve --suite mibench --requests 64 --concurrency 8
     python -m repro.tools.serve --suite mibench --checkpoint model.npz \\
-        --requests 128 --concurrency 8 --compare-serial
+        --requests 128 --concurrency 8
     python -m repro.tools.serve --suite spec2017 --requests 24 \\
         --no-result-cache --json results.json
     python -m repro.tools.serve --suite mibench --requests 12 \\
@@ -37,7 +35,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 from typing import List, Optional
 
 from ..codegen.target import TARGETS
@@ -88,9 +85,6 @@ def build_argparser() -> argparse.ArgumentParser:
     parser.add_argument("--no-warmup", action="store_true",
                         help="skip the untimed warm-up pass over the "
                         "distinct modules")
-    parser.add_argument("--compare-serial", action="store_true",
-                        help="also time serial per-request PosetRL.predict "
-                        "and print the speedup")
     parser.add_argument("--fail-on-fallback", action="store_true",
                         help="exit non-zero if any request fell back to -Oz "
                         "or was rejected (CI smoke gate); gateway sheds "
@@ -195,7 +189,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         print(f"experience journal: {journal_dir} "
               f"(train from it with python -m repro.tools.learn)")
 
-    agent: Optional[PosetRL] = None
     if args.shards > 0:
         gateway_kwargs = dict(
             max_pending=args.max_pending,
@@ -329,32 +322,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         "load": report.as_dict(),
         "service_stats": payload_stats,
     }
-
-    if args.compare_serial:
-        serial_agent = agent or PosetRL(
-            action_space=args.action_space or "odg",
-            target=args.target, seed=args.seed,
-        )
-        suite_by_name = dict(suite)
-        modules = [suite_by_name[r.name] for r in requests]
-        for module in modules[: len(suite)]:
-            serial_agent.predict(module)  # warm the metrics caches
-        start = time.perf_counter()
-        for module in modules:
-            serial_agent.predict(module)
-        serial_wall = time.perf_counter() - start
-        serial_rps = len(modules) / serial_wall if serial_wall else 0.0
-        measured_rps = (
-            report.goodput_rps if open_loop else report.throughput_rps
-        )
-        speedup = measured_rps / serial_rps if serial_rps else float("inf")
-        print(f"  serial predict: {serial_wall:.3f}s "
-              f"({serial_rps:.1f} req/s) -> batched speedup {speedup:.2f}x")
-        payload["serial"] = {
-            "wall_seconds": round(serial_wall, 4),
-            "throughput_rps": round(serial_rps, 2),
-            "speedup": round(speedup, 2),
-        }
 
     if args.json_path:
         with open(args.json_path, "w") as fh:

@@ -1,8 +1,9 @@
-"""Block-frequency flow conservation and trip-count awareness."""
+"""Block-frequency flow conservation and trip-count awareness, asserted
+of the object-walk reference and of the production flat build."""
 
 import pytest
 
-from repro.analysis import BlockFrequency
+from tests.analysis_reference import BlockFrequency, FlatAnalyses
 from tests.conftest import build_module
 
 
@@ -34,11 +35,11 @@ after:
 """
     )
     fn = module.get_function("entry")
-    freq = BlockFrequency(fn)
     blocks = {b.name: b for b in fn.blocks}
-    assert freq.frequency(blocks["after"]) == pytest.approx(
-        freq.frequency(blocks["entry"]), rel=0.01
-    )
+    for freq in (BlockFrequency(fn), FlatAnalyses(fn)):
+        assert freq.frequency(blocks["after"]) == pytest.approx(
+            freq.frequency(blocks["entry"]), rel=0.01
+        )
 
 
 def test_constant_trip_count_drives_frequency():
@@ -57,12 +58,13 @@ out:
 """
     small = build_module(src.format(trip=4))
     large = build_module(src.format(trip=64))
-    f_small = BlockFrequency(small.get_function("entry"))
-    f_large = BlockFrequency(large.get_function("entry"))
     h_small = next(b for b in small.get_function("entry").blocks if b.name == "h")
     h_large = next(b for b in large.get_function("entry").blocks if b.name == "h")
-    assert f_small.frequency(h_small) == pytest.approx(4.0)
-    assert f_large.frequency(h_large) == pytest.approx(64.0)
+    for analysis in (BlockFrequency, FlatAnalyses):
+        f_small = analysis(small.get_function("entry"))
+        f_large = analysis(large.get_function("entry"))
+        assert f_small.frequency(h_small) == pytest.approx(4.0)
+        assert f_large.frequency(h_large) == pytest.approx(64.0)
 
 
 def test_nested_loops_multiply_trip_counts():
@@ -89,8 +91,8 @@ exit:
 """
     )
     fn = module.get_function("entry")
-    freq = BlockFrequency(fn)
     blocks = {b.name: b for b in fn.blocks}
-    assert freq.frequency(blocks["inner"]) == pytest.approx(40.0)
-    assert freq.frequency(blocks["olatch"]) == pytest.approx(5.0)
-    assert freq.frequency(blocks["exit"]) == pytest.approx(1.0, rel=0.01)
+    for freq in (BlockFrequency(fn), FlatAnalyses(fn)):
+        assert freq.frequency(blocks["inner"]) == pytest.approx(40.0)
+        assert freq.frequency(blocks["olatch"]) == pytest.approx(5.0)
+        assert freq.frequency(blocks["exit"]) == pytest.approx(1.0, rel=0.01)

@@ -1,7 +1,18 @@
-"""Liveness, reaching stores, block frequency."""
+"""Liveness, reaching stores, block frequency.
 
-from repro.analysis import BlockFrequency, Liveness, LoopInfo, ReachingStores
+Each property is asserted of the object-walk reference analyses and,
+where the flat view carries the quantity, of the production flat build
+(:class:`~tests.analysis_reference.FlatAnalyses`).
+"""
+
+from repro.analysis import LoopInfo
 from repro.ir import Load, Store
+from tests.analysis_reference import (
+    BlockFrequency,
+    FlatAnalyses,
+    Liveness,
+    ReachingStores,
+)
 from tests.conftest import LOOP_MODULE, build_module
 
 
@@ -26,14 +37,15 @@ class TestLiveness:
 
     def test_live_across_blocks_counts(self, loop_module):
         fn = loop_module.get_function("entry")
-        live = Liveness(fn)
         blocks = {b.name: b for b in fn.blocks}
         inv = blocks["entry"].instructions[0]
-        assert live.live_across_blocks(inv) >= 2
+        for live in (Liveness(fn), FlatAnalyses(fn)):
+            assert live.live_across_blocks(inv) >= 2
 
     def test_max_pressure_positive(self, loop_module):
         fn = loop_module.get_function("entry")
-        assert Liveness(fn).max_pressure() >= 2
+        for live in (Liveness(fn), FlatAnalyses(fn)):
+            assert live.max_pressure() >= 2
 
     def test_straightline_no_cross_block_liveness(self):
         module = build_module(
@@ -65,10 +77,10 @@ entry:
 """
         )
         fn = module.get_function("entry")
-        reaching = ReachingStores(fn)
         load = next(i for i in fn.instructions() if isinstance(i, Load))
-        stores = reaching.stores_for(load)
-        assert len(stores) == 1
+        for reaching in (ReachingStores(fn), FlatAnalyses(fn)):
+            stores = reaching.stores_for(load)
+            assert len(stores) == 1
 
     def test_killed_store_does_not_reach(self):
         module = build_module(
@@ -84,10 +96,10 @@ entry:
 """
         )
         fn = module.get_function("entry")
-        reaching = ReachingStores(fn)
         load = next(i for i in fn.instructions() if isinstance(i, Load))
-        stores = reaching.stores_for(load)
-        assert len(stores) == 1
+        for reaching in (ReachingStores(fn), FlatAnalyses(fn)):
+            stores = reaching.stores_for(load)
+            assert len(stores) == 1
         assert stores[0].value is fn.args[0]
 
     def test_both_branch_stores_reach_merge_load(self):
@@ -111,18 +123,18 @@ m:
 """
         )
         fn = module.get_function("entry")
-        reaching = ReachingStores(fn)
         load = next(i for i in fn.instructions() if isinstance(i, Load))
-        assert len(reaching.stores_for(load)) == 2
+        for reaching in (ReachingStores(fn), FlatAnalyses(fn)):
+            assert len(reaching.stores_for(load)) == 2
 
 
 class TestBlockFrequency:
     def test_loop_blocks_hotter(self, loop_module):
         fn = loop_module.get_function("entry")
-        freq = BlockFrequency(fn)
         blocks = {b.name: b for b in fn.blocks}
-        assert freq.frequency(blocks["body"]) > freq.frequency(blocks["entry"])
-        assert freq.frequency(blocks["entry"]) == 1.0
+        for freq in (BlockFrequency(fn), FlatAnalyses(fn)):
+            assert freq.frequency(blocks["body"]) > freq.frequency(blocks["entry"])
+            assert freq.frequency(blocks["entry"]) == 1.0
 
     def test_nesting_multiplies(self):
         module = build_module(
@@ -148,22 +160,22 @@ exit:
 """
         )
         fn = module.get_function("entry")
-        freq = BlockFrequency(fn)
         blocks = {b.name: b for b in fn.blocks}
-        assert freq.frequency(blocks["inner"]) > freq.frequency(blocks["outer"])
+        for freq in (BlockFrequency(fn), FlatAnalyses(fn)):
+            assert freq.frequency(blocks["inner"]) > freq.frequency(blocks["outer"])
 
     def test_branch_weights_skew(self, diamond_module):
         fn = diamond_module.get_function("entry")
         blocks = {b.name: b for b in fn.blocks}
         term = blocks["entry"].terminator
         term.meta["branch_weights"] = [2000, 1]
-        freq = BlockFrequency(fn)
-        assert freq.frequency(blocks["then"]) > 0.9
-        assert freq.frequency(blocks["els"]) < 0.1
+        for freq in (BlockFrequency(fn), FlatAnalyses(fn)):
+            assert freq.frequency(blocks["then"]) > 0.9
+            assert freq.frequency(blocks["els"]) < 0.1
 
     def test_even_split_without_weights(self, diamond_module):
         fn = diamond_module.get_function("entry")
-        freq = BlockFrequency(fn)
         blocks = {b.name: b for b in fn.blocks}
-        assert abs(freq.frequency(blocks["then"]) - 0.5) < 1e-9
-        assert abs(freq.frequency(blocks["merge"]) - 1.0) < 1e-9
+        for freq in (BlockFrequency(fn), FlatAnalyses(fn)):
+            assert abs(freq.frequency(blocks["then"]) - 0.5) < 1e-9
+            assert abs(freq.frequency(blocks["merge"]) - 1.0) < 1e-9

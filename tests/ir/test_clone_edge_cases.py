@@ -1,5 +1,8 @@
 """Cloning edge cases: cross-references, attributes, initializers."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ir import (
@@ -15,6 +18,8 @@ from repro.ir import (
     verify_module,
 )
 from repro.ir.clone import clone_blocks_into, clone_function_body
+from repro.ir.values import Constant, GlobalValue
+from repro.workloads import load_suite
 from tests.conftest import build_module
 
 
@@ -118,3 +123,33 @@ entry:
         current = current.clone()
         verify_module(current)
     assert run_module(current, "entry", [7])[0] == 21
+
+
+def test_dropped_clones_are_collected():
+    """A clone shares the original's constants. Registering the clone's
+    uses on them would keep every dropped clone reachable from the
+    original (constant -> use -> instruction -> module) and grow the
+    constants' use lists with every clone."""
+    module = dict(load_suite("mibench"))["susan"]
+    constants = {
+        id(op): op
+        for fn in module.functions
+        for inst in fn.instructions()
+        for op in inst.operands
+        if isinstance(op, Constant) and not isinstance(op, GlobalValue)
+    }
+    assert constants
+    uses_before = {key: c.num_uses for key, c in constants.items()}
+    refs = []
+    for _ in range(50):
+        clone = module.clone()
+        refs.append(weakref.ref(clone))
+        del clone
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert {key: c.num_uses for key, c in constants.items()} == uses_before
+    # Globals keep their use lists; each clone's symbols are its own.
+    clone = module.clone()
+    verify_module(clone)
+    for fn in module.functions:
+        assert clone.get_function(fn.name).num_uses == fn.num_uses

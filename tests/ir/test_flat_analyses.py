@@ -2,7 +2,7 @@
 
 ``build_flat_function`` computes block frequencies, liveness, reaching
 stores and call edges on the integer CFG it gathers in its one walk over
-the IR. The object analyses in :mod:`repro.analysis` stay as the
+the IR. The object analyses in ``tests/analysis_reference.py`` are the
 reference: every field here must equal (``==``/``array_equal``) what
 they compute, on fuzz modules for both targets — raw, after ``O1``/``Oz``
 and after a seeded random path of ODG actions.
@@ -13,10 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.analysis.blockfreq import BlockFrequency
-from repro.analysis.liveness import Liveness
 from repro.analysis.loops import LoopInfo
-from repro.analysis.reaching import ReachingStores
 from repro.codegen.target import get_target
 from repro.core.environment import make_action_space
 from repro.ir import parse_module
@@ -25,6 +22,7 @@ from repro.ir.instructions import Branch, Call, Load
 from repro.mca.ports import get_port_model
 from repro.passes import build_pipeline
 from repro.testing.generator import FuzzProfile, generate_fuzz_program
+from tests.analysis_reference import BlockFrequency, Liveness, ReachingStores
 
 FUZZ_SEEDS = range(6)
 TARGETS = ("x86-64", "aarch64")

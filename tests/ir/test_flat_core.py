@@ -1,11 +1,12 @@
 """Flat struct-of-arrays IR core: bit-identical equivalence, layout.
 
 The contract under test is exact: every consumer kernel over the flat
-view (size, MCA cycles, embeddings), as the metrics engine runs them on a
-function-record miss, must produce *bit-identical* results to the
-object-walking implementations, on arbitrary fuzz-generated modules,
-before and after pass pipelines mutate them. Invalidation is per
-function — mutating one function rebuilds only its record.
+view (size, MCA cycles, embeddings), as the metrics engine and the public
+measurement functions run them, must produce *bit-identical* results to
+the object-walk reference (``tests/metrics_reference.py``), on arbitrary
+fuzz-generated modules, before and after pass pipelines mutate them.
+Invalidation is per function — mutating one function rebuilds only its
+record.
 """
 
 import gc
@@ -15,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro import observability as obs
-from repro.codegen.objfile import (
-    flat_function_text_size,
-    function_text_size,
-    object_size,
-)
+from repro.codegen.objfile import flat_function_text_size, object_size
 from repro.codegen.target import get_target
 from repro.core.metrics import FunctionRecord, MetricsEngine
 from repro.embeddings.ir2vec import IR2VecEncoder
@@ -30,7 +27,11 @@ from repro.mca.sched import estimate_throughput
 from repro.passes import build_pipeline
 from repro.testing.generator import FuzzProfile, generate_fuzz_program
 from repro.workloads import ProgramProfile, generate_program
-from tests.metrics_reference import reference_measure
+from tests.metrics_reference import (
+    ReferenceEncoder,
+    function_text_size,
+    reference_measure,
+)
 
 FUZZ_SEEDS = range(8)
 TARGETS = ("x86-64", "aarch64")
@@ -47,8 +48,7 @@ def _assert_equivalent(module, target, engine):
     assert got.size_report == size
     assert got.mca == mca
     assert np.array_equal(got.embedding, embedding)
-    # The standalone object walks are the same combine over the same
-    # per-function results.
+    # The uncached public measurements run the same kernels and combine.
     assert object_size(module, target) == size
     assert estimate_throughput(module, target) == mca
     assert np.array_equal(
@@ -85,7 +85,7 @@ class TestEquivalence:
     def test_function_embedding_matches_object_path(self):
         """Per-function kernels over the flat view (embedding and text
         size) equal the object walks."""
-        encoder = IR2VecEncoder()
+        encoder = ReferenceEncoder()
         descriptor = get_target("x86-64")
         module = generate_fuzz_program(FuzzProfile(seed=2))
         for fn in module.functions:
@@ -93,7 +93,7 @@ class TestEquivalence:
                 continue
             ff = _build(fn)
             assert np.array_equal(
-                encoder._compute_function_embedding(fn),
+                encoder.function_embedding(fn),
                 encoder.flat_function_embedding(ff),
             )
             assert function_text_size(fn, descriptor) == (

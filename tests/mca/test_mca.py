@@ -5,15 +5,13 @@ import pytest
 from repro.mca import (
     CORTEX_A72,
     SKYLAKE,
-    analyze_block,
-    analyze_function,
     estimate_throughput,
     get_port_model,
 )
-from repro.codegen import X86_64, AARCH64
 from repro.passes import optimize, run_passes
 from repro.workloads import ProgramProfile, generate_program
 from tests.conftest import LOOP_MODULE, build_module
+from tests.metrics_reference import block_reports
 
 
 class TestPortModels:
@@ -32,9 +30,6 @@ class TestPortModels:
 
 
 class TestBlockAnalysis:
-    def _block(self, src):
-        module = build_module(src)
-        return module.get_function("entry").entry
 
     def test_dependent_chain_latency_bound(self):
         dep_chain = "\n".join(
@@ -48,25 +43,24 @@ class TestBlockAnalysis:
             f"  %c{i} = add i32 %c{i-1}, %u{i}" if i else "  %c0 = add i32 %u0, 0"
             for i in range(8)
         )
-        chain_block = self._block(
+        chain = build_module(
             f"define i32 @entry(i32 %n) {{\nentry:\n{dep_chain}\n  ret i32 %t7\n}}"
         )
-        par_block = self._block(
+        par = build_module(
             f"define i32 @entry(i32 %n) {{\nentry:\n{independent}\n{combine}\n  ret i32 %c7\n}}"
         )
-        chain = analyze_block(chain_block, X86_64, SKYLAKE)
-        par = analyze_block(par_block, X86_64, SKYLAKE)
-        # The dependent chain has a longer critical path per op.
-        assert chain.latency_bound > par.latency_bound / 2
+        for chain_report, par_report in zip(
+            block_reports(chain, "entry"), block_reports(par, "entry")
+        ):
+            # The dependent chain has a longer critical path per op.
+            assert chain_report.latency_bound > par_report.latency_bound / 2
 
     def test_loop_carried_recurrence(self, loop_module):
-        fn = loop_module.get_function("entry")
-        header = next(b for b in fn.blocks if b.name == "header")
-        report = analyze_block(header, X86_64, SKYLAKE)
-        assert report.cycles >= 0.25
+        for report in block_reports(loop_module, "header"):
+            assert report.cycles >= 0.25
 
     def test_division_dominates_block(self):
-        block = self._block(
+        module = build_module(
             """
 define i32 @entry(i32 %n) {
 entry:
@@ -76,8 +70,8 @@ entry:
 }
 """
         )
-        report = analyze_block(block, X86_64, SKYLAKE)
-        assert report.cycles > 5
+        for report in block_reports(module, "entry"):
+            assert report.cycles > 5
 
 
 class TestModuleEstimate:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.codegen import X86_64
-from repro.mca import SKYLAKE, analyze_block, estimate_throughput
+from repro.mca import estimate_throughput
 from repro.mca.sched import COND_BRANCH_OVERHEAD, EXTERNAL_CALL_CYCLES
 from tests.conftest import build_module
+from tests.metrics_reference import block_reports
 
 
 def test_conditional_branch_overhead_charged():
@@ -20,9 +20,8 @@ a:
 }
 """
     )
-    block = cond.get_function("entry").entry
-    report = analyze_block(block, X86_64, SKYLAKE)
-    assert report.branch_overhead == COND_BRANCH_OVERHEAD
+    for report in block_reports(cond, "entry"):
+        assert report.branch_overhead == COND_BRANCH_OVERHEAD
 
 
 def test_unconditional_branch_has_no_overhead():
@@ -36,9 +35,8 @@ a:
 }
 """
     )
-    block = module.get_function("entry").entry
-    report = analyze_block(block, X86_64, SKYLAKE)
-    assert report.branch_overhead == 0.0
+    for report in block_reports(module, "entry"):
+        assert report.branch_overhead == 0.0
 
 
 def test_switch_overhead_scales_with_cases():
@@ -58,9 +56,8 @@ d:
 }
 """
     )
-    block = module.get_function("entry").entry
-    report = analyze_block(block, X86_64, SKYLAKE)
-    assert report.branch_overhead == 3 * COND_BRANCH_OVERHEAD
+    for report in block_reports(module, "entry"):
+        assert report.branch_overhead == 3 * COND_BRANCH_OVERHEAD
 
 
 def test_if_conversion_pays_off_in_model():

@@ -206,18 +206,12 @@ exit:
   ret i32 %out
 }
 """
-    from repro.codegen import function_text_size, X86_64
-
     module = build_module(src)
-    ops_before = function_text_size(
-        module.get_function("entry"), X86_64
-    ).machine_ops
+    ops_before = object_size(module, "x86-64").functions[0].machine_ops
     cycles_before = estimate_throughput(module, "x86-64").total_cycles
     assert run_passes(module, ["loop-unswitch", "simplifycfg"])
     verify_module(module)
-    ops_after = function_text_size(
-        module.get_function("entry"), X86_64
-    ).machine_ops
+    ops_after = object_size(module, "x86-64").functions[0].machine_ops
     cycles_after = estimate_throughput(module, "x86-64").total_cycles
     assert ops_after > ops_before  # the body was duplicated
     assert cycles_after < cycles_before  # the in-loop branch is gone
