@@ -103,7 +103,7 @@ def test_ablation_algorithms(benchmark):
     def run_algo(algo):
         rl = PosetRL(seed=0, episode_length=ALGO_EPISODE_LENGTH,
                      agent_config=config, algo=algo)
-        stats = rl.train_vectorized(corpus, episodes=ALGO_EPISODES, n_envs=2)
+        stats = rl.train(corpus, episodes=ALGO_EPISODES)
         half = len(stats) // 2
         return rl, {
             "algo": algo,

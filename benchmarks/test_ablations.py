@@ -22,13 +22,13 @@ from conftest import format_table, print_artifact, save_results
 EPISODES = 150
 
 
-def _train_eval(weights=None, double=True, episode_length=15, seed=0):
+def _train_eval(weights=None, algo="ddqn", episode_length=15, seed=0):
     corpus = load_suite("llvm_test_suite")[:16]
     agent = PosetRL(
         action_space="odg",
         seed=seed,
         weights=weights or RewardWeights(),
-        double_dqn=double,
+        algo=algo,
         episode_length=episode_length,
         agent_config=quick_config(),
     )
@@ -68,12 +68,12 @@ def test_ablation_reward_weights(benchmark):
 def test_ablation_double_dqn(benchmark):
     def run():
         results = {}
-        for double in (True, False):
+        for algo in ("ddqn", "dqn"):
             sizes = [
-                _train_eval(double=double, seed=seed).avg_size_reduction
+                _train_eval(algo=algo, seed=seed).avg_size_reduction
                 for seed in (0, 1)
             ]
-            results[double] = statistics.mean(sizes)
+            results[algo] = statistics.mean(sizes)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -82,14 +82,14 @@ def test_ablation_double_dqn(benchmark):
         format_table(
             ["agent", "avg Δsize %"],
             [
-                ["Double DQN (paper)", f"{results[True]:6.2f}"],
-                ["vanilla DQN", f"{results[False]:6.2f}"],
+                ["Double DQN (paper)", f"{results['ddqn']:6.2f}"],
+                ["vanilla DQN", f"{results['dqn']:6.2f}"],
             ],
         ),
     )
     save_results(
         "ablation_double_dqn",
-        {"double": results[True], "vanilla": results[False]},
+        {"double": results["ddqn"], "vanilla": results["dqn"]},
     )
     # Both must at least produce valid numbers; the ranking is seed-noisy
     # at this scale, so no ordering is asserted.

@@ -2,8 +2,6 @@
 proper): how fast are the pieces the RL loop leans on — cloning, the Oz
 pipeline, embeddings, size/MCA measurement, one environment step, one
 learner update (``benchmarks/results/perf_learner_update.json``) — plus a
-batched-vs-serial training-throughput comparison for the vectorized
-trainer (``benchmarks/results/perf_train_vectorized.json``) and a
 batched-serving-vs-serial-predict comparison for the optimization
 service (``benchmarks/results/perf_serving.json``)."""
 
@@ -27,7 +25,7 @@ from repro.core.presets import scaled_config
 from repro.embeddings import program_embedding
 from repro.mca import estimate_throughput
 from repro.passes import build_pipeline
-from repro.rl.dqn import AgentConfig, DoubleDQNAgent
+from repro.rl.dqn import DoubleDQNAgent
 from repro.workloads import ProgramProfile, generate_program
 
 
@@ -150,164 +148,6 @@ def test_learner_update_throughput(benchmark):
         }
         save_results("perf_learner_update", payload)
         print(f"\nlearner update: {payload}")
-
-
-# -- vectorized training -----------------------------------------------------
-
-N_ENVS = 8
-STATE_DIM = 300
-
-
-def _decision_path_seconds(states, reps: int, batched: bool) -> float:
-    """Wall time of the per-step agent work — ε-greedy action selection
-    plus replay insertion — over ``reps × n_envs`` transitions.
-
-    ``min_replay`` is set beyond the horizon so the measurement isolates
-    the decision path (the network-update cadence is identical between
-    serial and batched by construction, so it would only add equal time
-    to both sides). ε is annealed to its floor first: a trained agent
-    exploits almost every step, and exploitation is where the batched
-    forward pays.
-    """
-    config = AgentConfig(
-        num_actions=34, min_replay=10**9, epsilon_steps=64, seed=0
-    )
-    agent = DoubleDQNAgent(config)
-    warm = states[0]
-    for _ in range(config.epsilon_steps):
-        agent.remember(warm, 0, 0.0, warm, False)
-
-    n = states.shape[0]
-    rewards = np.linspace(-1.0, 1.0, n)
-    dones = np.zeros(n, dtype=bool)
-    start = time.perf_counter()
-    if batched:
-        for _ in range(reps):
-            actions = agent.act_batch(states)
-            agent.remember_batch(states, actions, rewards, states, dones)
-    else:
-        for _ in range(reps):
-            for i in range(n):
-                action = agent.act(states[i])
-                agent.remember(
-                    states[i], action, float(rewards[i]), states[i], False
-                )
-    return time.perf_counter() - start
-
-
-def test_train_vectorized_speedup():
-    """Batched training throughput vs the serial loop, each side on a
-    fresh facade (cold metrics caches); emits perf_train_vectorized.json.
-
-    Two measurements:
-
-    * **decision path** — the per-step agent work that vectorization
-      batches (one ``(8, 300)`` forward + bulk replay insertion instead
-      of 8 single-state forwards + 8 pushes). Asserted ≥2× at
-      ``n_envs=8``; environment stepping is excluded, so this holds on
-      any core count.
-    * **end to end** — ``PosetRL.train`` (``n_envs=1``) vs
-      ``train_vectorized`` at ``n_envs=8`` on the same corpus and step
-      budget. Reported, with only a no-regression floor: stepping is
-      dominated by the pass pipeline + measurement, which in-process
-      lockstep cannot parallelize, so it lands near 1×. One untimed
-      episode on a throwaway facade runs first, the collector is emptied
-      before each timed run, and each side keeps the best of three
-      alternating runs (as the decision path keeps its best of three):
-      the first timed run after a fresh checkout has been measured ~9×
-      slow on a 2-CPU VM (about 1 s of extra CPU time and ~300
-      involuntary context switches, gone with one BLAS thread), and
-      that stall must not land on one side only.
-    """
-    corpus = [
-        (
-            f"bench{i}",
-            generate_program(
-                ProgramProfile(name=f"bench{i}", seed=40 + i, segments=2)
-            ),
-        )
-        for i in range(4)
-    ]
-    # Real observation vectors: the base embeddings of 8 programs.
-    engine = MetricsEngine()
-    states = np.stack([
-        engine.embedding(
-            generate_program(
-                ProgramProfile(name=f"s{i}", seed=60 + i, segments=2)
-            )
-        )
-        for i in range(N_ENVS)
-    ]).astype(np.float64)
-    assert states.shape == (N_ENVS, STATE_DIM)
-
-    reps = 250
-    serial_s = min(
-        _decision_path_seconds(states, reps, batched=False) for _ in range(3)
-    )
-    batched_s = min(
-        _decision_path_seconds(states, reps, batched=True) for _ in range(3)
-    )
-    steps = reps * N_ENVS
-    decision_speedup = serial_s / batched_s if batched_s else float("inf")
-
-    total_steps = 120
-
-    def timed_run(vectorized):
-        gc.collect()
-        agent = PosetRL(seed=0)
-        if vectorized:
-            agent.train_vectorized(
-                corpus, total_steps=total_steps, n_envs=N_ENVS
-            )
-        else:
-            agent.train(corpus, episodes=total_steps // agent.episode_length)
-        return agent.last_train_throughput
-
-    PosetRL(seed=0).train(corpus[:1], episodes=1)
-    runs = [(timed_run(True), timed_run(False)) for _ in range(3)]
-    vec_report, serial_report = (
-        max(side, key=lambda report: report.steps_per_second)
-        for side in zip(*runs)
-    )
-    e2e_speedup = (
-        vec_report.steps_per_second / serial_report.steps_per_second
-        if serial_report.steps_per_second
-        else float("inf")
-    )
-
-    payload = {
-        "n_envs": N_ENVS,
-        "cpu_count": os.cpu_count(),
-        "decision_path": {
-            "transitions": steps,
-            "serial_us_per_step": round(1e6 * serial_s / steps, 2),
-            "batched_us_per_step": round(1e6 * batched_s / steps, 2),
-            "serial_steps_per_second": round(steps / serial_s, 1),
-            "batched_steps_per_second": round(steps / batched_s, 1),
-            "speedup": round(decision_speedup, 2),
-        },
-        "end_to_end": {
-            "serial": serial_report.as_dict(),
-            "vectorized": vec_report.as_dict(),
-            "speedup": round(e2e_speedup, 2),
-            "note": (
-                "in-process lockstep; env stepping dominates and runs one "
-                "env at a time on either side"
-            ),
-        },
-    }
-    save_results("perf_train_vectorized", payload)
-    print(
-        f"\ndecision-path speedup at n_envs={N_ENVS}: "
-        f"{decision_speedup:.2f}x "
-        f"({1e6 * serial_s / steps:.1f}us -> {1e6 * batched_s / steps:.1f}us "
-        f"per step); end-to-end {e2e_speedup:.2f}x "
-        f"({serial_report.steps_per_second:.0f} -> "
-        f"{vec_report.steps_per_second:.0f} steps/s)"
-    )
-    assert decision_speedup >= 2.0, payload
-    # End-to-end must at least not regress materially.
-    assert e2e_speedup >= 0.5, payload
 
 
 # -- batched serving ---------------------------------------------------------

@@ -51,9 +51,6 @@ class TargetDescriptor:
     spill_bytes: int  # bytes per spill/reload pair
     pointer_bytes: int = 8
 
-    def bytes_for(self, op: str) -> int:
-        return self.op_bytes[op]
-
 
 X86_64 = TargetDescriptor(
     name="x86-64",

@@ -30,7 +30,6 @@ from .environment import (
 from .evaluate import BenchmarkResult, SuiteSummary, evaluate_suite
 from .metrics import MetricsEngine
 from .rewards import RewardWeights
-from .vector_env import VectorPhaseOrderingEnv
 
 
 @dataclass
@@ -49,7 +48,6 @@ class TrainStats:
 class TrainThroughput:
     """Wall-clock throughput of one training run."""
 
-    n_envs: int
     total_steps: int
     episodes: int
     wall_seconds: float
@@ -65,7 +63,6 @@ class TrainThroughput:
 
     def as_dict(self) -> Dict[str, float]:
         return {
-            "n_envs": self.n_envs,
             "total_steps": self.total_steps,
             "episodes": self.episodes,
             "wall_seconds": round(self.wall_seconds, 4),
@@ -124,8 +121,7 @@ class PosetRL:
         episode_length: int = DEFAULT_EPISODE_LENGTH,
         agent_config: Optional[AgentConfig] = None,
         ppo_config: Optional[PPOConfig] = None,
-        double_dqn: bool = True,
-        algo: Optional[str] = None,
+        algo: str = "ddqn",
         seed: int = 0,
     ):
         self.action_space_kind = action_space
@@ -137,8 +133,6 @@ class PosetRL:
         #: facade creates — the cross-episode/cross-module reuse is where
         #: the training-loop speedup comes from.
         self.metrics = MetricsEngine(target)
-        if algo is None:
-            algo = "ddqn" if double_dqn else "dqn"
         if algo not in ("ddqn", "dqn", "prioritized-ddqn", "ppo"):
             raise ValueError(f"unknown algo {algo!r}")
         self.algo = algo
@@ -168,8 +162,7 @@ class PosetRL:
             self.agent = agent_cls(config)
         self._rng = np.random.RandomState(seed + 13)
         self.train_history: List[TrainStats] = []
-        #: Throughput report of the most recent :meth:`train` /
-        #: :meth:`train_vectorized` call.
+        #: Throughput report of the most recent :meth:`train` call.
         self.last_train_throughput: Optional[TrainThroughput] = None
         #: ``(input fingerprint, actions, optimized module)`` of the last
         #: :meth:`predict`, consumed by :meth:`apply_actions`.
@@ -191,115 +184,71 @@ class PosetRL:
         return self.metrics.stats()
 
     # -- training ---------------------------------------------------------------
-    def _flush_updates(self) -> None:
-        """Let buffer-based agents (PPO) learn from the residual
-        sub-horizon tail when a training budget ends."""
-        flush = getattr(self.agent, "flush", None)
-        if flush is not None:
-            flush()
-
     def train(
         self,
         modules: Sequence[Tuple[str, Module]],
         episodes: int = 50,
         callback: Optional[Callable[[TrainStats], None]] = None,
     ) -> List[TrainStats]:
-        """ε-greedy training over a corpus, one environment at a time.
+        """ε-greedy training over a corpus, one transition at a time.
 
         ``modules`` are (name, module) pairs — e.g. the 130 llvm-test-suite
-        single-source programs the paper trains on. Episodes sample the
-        corpus uniformly; each episode runs ``episode_length`` steps. This
-        is :meth:`train_vectorized` with ``n_envs=1``.
+        single-source programs the paper trains on. Each episode draws a
+        module uniformly from the corpus, resets its environment (one per
+        distinct name, reused when the draw repeats) and runs
+        ``episode_length`` steps of act → step → remember. Episode records
+        extend ``train_history``; the wall-clock summary lands in
+        :attr:`last_train_throughput`.
         """
         if not modules:
             raise ValueError("training corpus is empty")
-        return self.train_vectorized(
-            modules, episodes=episodes, n_envs=1, callback=callback
-        )
-
-    def make_vector_env(
-        self, modules: Sequence[Tuple[str, Module]], n_envs: int
-    ) -> VectorPhaseOrderingEnv:
-        """``n_envs`` lockstep environments over ``modules``.
-
-        Slots share this facade's metrics engine and its corpus-sampling
-        RNG, so every training run continues one module sequence.
-        """
-        return VectorPhaseOrderingEnv(
-            modules, n_envs, self.make_env, rng=self._rng
-        )
-
-    def train_vectorized(
-        self,
-        modules: Sequence[Tuple[str, Module]],
-        total_steps: Optional[int] = None,
-        n_envs: int = 8,
-        *,
-        episodes: Optional[int] = None,
-        callback: Optional[Callable[[TrainStats], None]] = None,
-    ) -> List[TrainStats]:
-        """Batched ε-greedy training: ``n_envs`` environments per decision.
-
-        Each iteration makes one batched ``act_batch`` forward over the
-        ``(n_envs, state_dim)`` observation matrix, steps every
-        environment in lockstep, and stores the resulting transitions
-        with per-transition semantics (step counting, training cadence,
-        target syncs). With ``n_envs=1`` this is the paper's serial loop:
-        one module draw per episode, one ε-greedy action and one stored
-        transition per step. Larger ``n_envs`` amortize the network
-        forward over the batch.
-
-        Give exactly one of ``total_steps`` (environment transitions,
-        summed over envs; the loop stops at the first lockstep boundary
-        ≥ it) or ``episodes`` (converted via ``episode_length``).
-        Episode records extend ``train_history``; the wall-clock summary
-        lands in :attr:`last_train_throughput`.
-        """
-        if (total_steps is None) == (episodes is None):
-            raise ValueError("specify exactly one of total_steps / episodes")
-        if episodes is not None:
-            total_steps = episodes * self.episode_length
-        assert total_steps is not None
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-
-        venv = self.make_vector_env(modules, n_envs)
+        if episodes <= 0:
+            raise ValueError("episodes must be positive")
+        agent = self.agent
+        envs: Dict[str, PhaseOrderingEnv] = {}
         stats: List[TrainStats] = []
-        steps_done = 0
-        train_updates_before = self.agent.train_steps
+        steps = 0
+        train_updates_before = agent.train_steps
         start = time.perf_counter()
-        venv.reset()
-        while steps_done < total_steps:
-            # Pending auto-resets materialize here — after the previous
-            # step's transitions were stored, which is when a per-episode
-            # loop would sample its next module.
-            states = venv.observations
-            actions = self.agent.act_batch(states)
-            next_states, rewards, dones, _infos = venv.step(actions)
-            self.agent.remember_batch(
-                states, actions, rewards, next_states, dones
+        for episode in range(episodes):
+            name, module = modules[int(self._rng.randint(len(modules)))]
+            env = envs.get(name)
+            if env is None:
+                env = envs[name] = self.make_env(module)
+            state = env.reset()
+            total = 0.0
+            actions: List[int] = []
+            done = False
+            while not done:
+                action = agent.act(state)
+                next_state, reward, done, _ = env.step(action)
+                agent.remember(state, action, reward, next_state, done)
+                state = next_state
+                total += reward
+                actions.append(action)
+            steps += len(actions)
+            record = TrainStats(
+                episode=episode,
+                module=name,
+                total_reward=total,
+                final_size=env.last_size,
+                epsilon=agent.epsilon,
+                actions=actions,
             )
-            steps_done += venv.n_envs
-            for rec in venv.pop_completed():
-                record = TrainStats(
-                    episode=len(stats),
-                    module=rec.module,
-                    total_reward=rec.total_reward,
-                    final_size=rec.final_size,
-                    epsilon=self.agent.epsilon,
-                    actions=rec.actions,
-                )
-                stats.append(record)
-                _publish_episode(record)
-                if callback is not None:
-                    callback(record)
-        self._flush_updates()
+            stats.append(record)
+            _publish_episode(record)
+            if callback is not None:
+                callback(record)
+        # Buffer-based agents (PPO) learn from the residual sub-horizon
+        # tail when the budget ends.
+        flush = getattr(agent, "flush", None)
+        if flush is not None:
+            flush()
         self.last_train_throughput = TrainThroughput(
-            n_envs=n_envs,
-            total_steps=steps_done,
+            total_steps=steps,
             episodes=len(stats),
             wall_seconds=time.perf_counter() - start,
-            train_updates=self.agent.train_steps - train_updates_before,
+            train_updates=agent.train_steps - train_updates_before,
         )
         _publish_throughput(self.last_train_throughput)
         self.train_history.extend(stats)
@@ -315,10 +264,10 @@ class PosetRL:
         """
         env = self.make_env(module)
         fingerprint = env.fingerprint
-        actions, optimized = greedy_rollout(
+        actions = greedy_rollout(
             env, lambda state: self.agent.act(state, greedy=True)
         )
-        self._last_rollout = (fingerprint, tuple(actions), optimized)
+        self._last_rollout = (fingerprint, tuple(actions), env.current)
         return actions
 
     def apply_actions(

@@ -321,13 +321,13 @@ class PhaseOrderingEnv:
 
 def greedy_rollout(
     env: PhaseOrderingEnv, choose: Callable[[np.ndarray], int]
-) -> Tuple[List[int], Module]:
+) -> List[int]:
     """Reset ``env`` and step it to the end of its episode, taking
-    ``choose(state)`` at every step.
+    ``choose(state)`` at every step; returns the actions.
 
-    Returns the actions and the end state, ``env.current``: the env's
-    private module with any lagged actions replayed. The caller owns
-    it: the env's next episode clones a fresh one.
+    The end state stays in the env: ``env.current`` materializes it (a
+    clone plus any lagged actions replayed), so a caller that needs only
+    the actions or the env's measurements never pays for it.
     """
     state = env.reset()
     actions: List[int] = []
@@ -336,7 +336,7 @@ def greedy_rollout(
         action = choose(state)
         state, _, done, _ = env.step(action)
         actions.append(action)
-    return actions, env.current
+    return actions
 
 
 def make_action_space(kind: str = "odg") -> ActionSpace:

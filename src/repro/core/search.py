@@ -64,7 +64,7 @@ def rollout_policy(
         module, action_space, target=target, weights=weights,
         episode_length=steps,
     )
-    actions, _ = greedy_rollout(env, lambda _state: choose(env))
+    actions = greedy_rollout(env, lambda _state: choose(env))
     return PolicyResult(env, actions)
 
 

@@ -23,9 +23,9 @@ Fingerprints are the hottest walk in the system (every env step hashes
 every function at least once), so the hash input is assembled as *packed
 row bytes*: one ``bytes`` object per function, built from interned token
 fragments, fed to ``blake2b`` in a single update. The byte stream is
-identical to what the historical token-join implementation streamed, and
-:func:`_streaming_function_fingerprint` keeps that implementation around
-as the reference the equivalence tests compare against.
+identical to what the historical token-join implementation streamed;
+``tests/fingerprint_reference.py`` keeps that implementation as the
+reference the equivalence test compares against.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .instructions import (
     Load,
     Store,
 )
-from .module import BasicBlock, Function, Module
+from .module import Function, Module
 from .types import Type
-from .values import Argument, Constant, GlobalValue, Value
+from .values import Constant, GlobalValue, Value
 
 _DIGEST_BYTES = 16
 
@@ -122,31 +122,6 @@ def _opcode_token(opcode: str) -> bytes:
     return token
 
 
-def _operand_token(
-    op: Value, local_ids: Dict[int, str]
-) -> str:
-    """A stable token for one operand (reference implementation).
-
-    Local values (arguments, instructions, blocks) are referenced by their
-    structural position, never by name. Globals are referenced by symbol
-    name; called functions additionally contribute their attribute set,
-    because callee attributes change the caller's effect analysis
-    (``readnone``/``readonly`` gate reaching-store kills and DCE of calls).
-    """
-    token = local_ids.get(id(op))
-    if token is not None:
-        return token
-    if isinstance(op, Function):
-        attrs = ",".join(sorted(op.attributes))
-        decl = "d" if op.is_declaration else ""
-        return f"@{op.name}|{attrs}|{decl}"
-    if isinstance(op, GlobalValue):
-        return f"@{op.name}"
-    if isinstance(op, Constant):
-        return f"k:{op.type}:{op.ref()}"
-    return f"?:{op.type}:{op.ref()}"  # pragma: no cover - exotic operand
-
-
 def _operand_token_bytes(op: Value, tokens: Dict[int, bytes]) -> bytes:
     token = tokens.get(id(op))
     if token is not None:
@@ -168,27 +143,6 @@ def _operand_token_bytes(op: Value, tokens: Dict[int, bytes]) -> bytes:
         token = f"?:{op.type}:{op.ref()}".encode()
     tokens[id(op)] = token
     return token
-
-
-def _instruction_tokens(
-    inst: Instruction, local_ids: Dict[int, str]
-) -> List[str]:
-    """Reference token list for one instruction (string form)."""
-    tokens = [inst.opcode, str(inst.type)]
-    if isinstance(inst, (ICmp, FCmp)):
-        tokens.append(inst.predicate)
-    if isinstance(inst, (Alloca, Load, Store)):
-        tokens.append(f"align{inst.alignment}")
-    if isinstance(inst, Alloca):
-        tokens.append(str(inst.allocated_type))
-    if isinstance(inst, Call) and inst.tail:
-        tokens.append("tail")
-    if inst.meta:
-        for key in sorted(inst.meta):
-            tokens.append(f"!{key}={inst.meta[key]!r}")
-    for op in inst.operands:
-        tokens.append(_operand_token(op, local_ids))
-    return tokens
 
 
 def _instruction_row(
@@ -277,36 +231,6 @@ def function_fingerprint(fn: Function) -> str:
     """
     h = _hasher()
     h.update(packed_function(fn))
-    return h.hexdigest()
-
-
-def _streaming_function_fingerprint(fn: Function) -> str:
-    """Reference implementation: per-token string joins + incremental
-    ``h.update``. Kept for the packed/streaming equivalence tests."""
-    h = _hasher()
-    linkage = "internal" if fn.is_internal else "external"
-    head = f"fn|{fn.name}|{fn.ftype}|{linkage}|{','.join(sorted(fn.attributes))}"
-    h.update(head.encode())
-
-    if fn.is_declaration:
-        h.update(b"|declaration")
-        return h.hexdigest()
-
-    local_ids: Dict[int, str] = {}
-    for i, arg in enumerate(fn.args):
-        local_ids[id(arg)] = f"a{i}"
-    counter = 0
-    for bi, block in enumerate(fn.blocks):
-        local_ids[id(block)] = f"b{bi}"
-        for inst in block.instructions:
-            local_ids[id(inst)] = f"i{counter}"
-            counter += 1
-
-    for block in fn.blocks:
-        h.update(f"|{local_ids[id(block)]}:".encode())
-        for inst in block.instructions:
-            line = " ".join(_instruction_tokens(inst, local_ids))
-            h.update(f"{local_ids[id(inst)]}={line};".encode())
     return h.hexdigest()
 
 

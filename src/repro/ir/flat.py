@@ -185,8 +185,8 @@ def latency_row(model) -> np.ndarray:
 
 
 def throughput_row(model) -> np.ndarray:
-    """Issue throughput per machine-op class (float64; 2.0 default as in
-    :meth:`~repro.mca.ports.PortModel.pressure_of`)."""
+    """Issue throughput per machine-op class (float64; a class the model
+    does not list issues 2.0 per cycle)."""
     row = _TP_ROWS.get(model.name)
     if row is None:
         row = np.array(

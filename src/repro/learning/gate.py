@@ -28,6 +28,7 @@ import numpy as np
 from ..core.environment import (
     DEFAULT_EPISODE_LENGTH,
     PhaseOrderingEnv,
+    greedy_rollout,
     make_action_space,
 )
 from ..core.metrics import MetricsEngine
@@ -141,15 +142,10 @@ class EvaluationGate:
             episode_length=self.episode_length,
             metrics=self.engine,
         )
-        state = env.reset()
-        actions: List[int] = []
-        for _ in range(self.episode_length):
-            q = network.predict(np.atleast_2d(state))
-            action = int(q.argmax(axis=1)[0])
-            actions.append(action)
-            state, _, done, _ = env.step(action)
-            if done:
-                break
+        actions = greedy_rollout(
+            env,
+            lambda s: int(network.predict(np.atleast_2d(s)).argmax(axis=1)[0]),
+        )
         score = {
             "size_reduction_pct": 100.0
             * (env.base_size - env.last_size)

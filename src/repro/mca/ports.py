@@ -24,14 +24,6 @@ class PortModel:
     def latency_of(self, op: str) -> float:
         return self.latency.get(op, 1.0)
 
-    def pressure_of(self, op_counts: Dict[str, int]) -> float:
-        """Cycles implied by the most contended port group."""
-        worst = 0.0
-        for op, count in op_counts.items():
-            tp = self.throughput.get(op, 2.0)
-            worst = max(worst, count / tp)
-        return worst
-
 
 SKYLAKE = PortModel(
     name="x86-64-skylake",

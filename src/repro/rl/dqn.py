@@ -90,35 +90,15 @@ class DQNAgent:
         return self.epsilon_schedule.value(self.steps)
 
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        """ε-greedy action (or pure greedy for evaluation): a one-row
-        :meth:`act_batch`."""
-        return int(self.act_batch(np.reshape(state, (1, -1)), greedy)[0])
+        """ε-greedy action (or pure greedy for evaluation).
 
-    def act_batch(self, states: np.ndarray, greedy: bool = False) -> np.ndarray:
-        """ε-greedy actions for a whole ``(n, state_dim)`` batch.
-
-        One ``QNetwork.predict`` forward serves every row. The per-row
-        exploration draws happen in row order — one uniform draw, then a
-        ``randint`` only when exploring — so the RNG stream depends only
-        on the number of rows acted on, not on how they were batched.
+        Exploring costs one uniform draw and then a ``randint``; otherwise
+        the online network scores ``state`` as one ``(1, state_dim)`` row.
         """
-        states = np.asarray(states)
-        if states.ndim != 2:
-            raise ValueError(f"expected (n, state_dim) batch, got {states.shape}")
-        n = states.shape[0]
-        actions = np.empty(n, dtype=np.int64)
-        explore = np.zeros(n, dtype=bool)
-        if not greedy:
-            eps = self.epsilon
-            for i in range(n):
-                if self._rng.random_sample() < eps:
-                    explore[i] = True
-                    actions[i] = int(self._rng.randint(self.config.num_actions))
-        exploit = ~explore
-        if exploit.any():
-            q = self.online.predict(states)
-            actions[exploit] = q.argmax(axis=1)[exploit]
-        return actions
+        if not greedy and self._rng.random_sample() < self.epsilon:
+            return int(self._rng.randint(self.config.num_actions))
+        q = self.online.predict(np.reshape(state, (1, -1)))
+        return int(q.argmax(axis=1)[0])
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
         return self.online.predict(state)
@@ -132,66 +112,18 @@ class DQNAgent:
         next_state: np.ndarray,
         done: bool,
     ) -> None:
-        """Store one transition: a one-row :meth:`remember_batch`."""
-        self.remember_batch([state], [action], [reward], [next_state], [done])
-
-    def remember_batch(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        dones: np.ndarray,
-    ) -> None:
-        """Store ``n`` transitions (rows), preserving serial semantics.
-
-        Step counting, the ``train_every`` training cadence and target
-        synchronization all remain *per transition*: a training update
-        that one-at-a-time storage would have run between two pushes
-        still runs between them here, so batching changes nothing about
-        when (or on what) the network trains.
-
-        Insertion is still vectorized: updates and target syncs can only
-        fire at ``train_every`` / ``target_sync_every`` step boundaries,
-        so transitions are bulk-written with ``push_batch`` in chunks
-        that end exactly on those boundaries — identical observable
-        behavior, far fewer per-row Python round-trips.
-        """
+        """Store one transition and count the step: every ``train_every``
+        steps (once ``min_replay`` transitions are stored) the online
+        network trains, every ``target_sync_every`` the target syncs."""
         c = self.config
-        states = np.atleast_2d(np.asarray(states))
-        next_states = np.atleast_2d(np.asarray(next_states))
-        actions = np.asarray(actions)
-        dones = np.asarray(dones)
-        scaled = np.asarray(rewards, dtype=np.float64) * c.reward_scale
-        n = len(actions)
-        i = 0
-        while i < n:
-            remaining = n - i
-            if len(self.memory) + remaining < c.min_replay:
-                # No update can fire inside this batch; only sync
-                # boundaries limit the chunk.
-                to_train = remaining
-            else:
-                to_train = c.train_every - (self.steps % c.train_every)
-            to_sync = c.target_sync_every - (self.steps % c.target_sync_every)
-            chunk = min(remaining, to_train, to_sync)
-            end = i + chunk
-            self.memory.push_batch(
-                states[i:end],
-                actions[i:end],
-                scaled[i:end],
-                next_states[i:end],
-                dones[i:end],
-            )
-            self.steps += chunk
-            i = end
-            if (
-                len(self.memory) >= c.min_replay
-                and self.steps % c.train_every == 0
-            ):
-                self.last_loss = self._train_step()
-            if self.steps % c.target_sync_every == 0:
-                self.target.copy_from(self.online)
+        self.memory.push(
+            state, action, float(reward) * c.reward_scale, next_state, done
+        )
+        self.steps += 1
+        if len(self.memory) >= c.min_replay and self.steps % c.train_every == 0:
+            self.last_loss = self._train_step()
+        if self.steps % c.target_sync_every == 0:
+            self.target.copy_from(self.online)
 
     def _next_q(
         self, next_states: np.ndarray, online_q: Optional[np.ndarray] = None

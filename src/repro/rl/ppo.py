@@ -4,13 +4,12 @@ The AutoPhase papers (PAPERS.md: Huang et al. 2019, 2020) use PPO for
 exactly this phase-ordering problem and report it beats DQN variants, so
 the repo carries it as a second algorithm behind the same training
 facade. :class:`PPOAgent` exposes the acting/remembering interface
-:class:`~repro.core.agent_api.PosetRL` drives (``act`` / ``act_batch`` /
-``remember`` / ``remember_batch``).
+:class:`~repro.core.agent_api.PosetRL` drives (``act`` / ``remember``).
 
 Architecture: a shared trunk of :class:`~repro.rl.network.DenseLayer`
 stacks (the same layers the Q-network uses) feeding two linear heads —
 action logits and a scalar state value. Updates are standard PPO:
-generalized advantage estimation over per-lane contiguous trajectories,
+generalized advantage estimation over the contiguous trajectory buffer,
 advantage normalization, then ``epochs`` passes of shuffled minibatches
 through the clipped surrogate + value + entropy loss.
 
@@ -44,7 +43,7 @@ class PPOConfig:
     clip_ratio: float = 0.2
     epochs: int = 4
     minibatch_size: int = 64
-    #: Transitions accumulated (across all lanes) before an update runs.
+    #: Transitions accumulated before an update runs.
     horizon: int = 256
     value_coef: float = 0.5
     entropy_coef: float = 0.01
@@ -265,35 +264,13 @@ def ppo_loss_and_grads(
     return loss, stats, grads  # type: ignore[return-value]
 
 
-class _LaneBuffer:
-    """Contiguous on-policy trajectory fragment for one env slot."""
-
-    __slots__ = (
-        "states", "actions", "rewards", "next_states",
-        "dones", "logprobs", "values",
-    )
-
-    def __init__(self) -> None:
-        self.states: List[np.ndarray] = []
-        self.actions: List[int] = []
-        self.rewards: List[float] = []
-        self.next_states: List[np.ndarray] = []
-        self.dones: List[bool] = []
-        self.logprobs: List[float] = []
-        self.values: List[float] = []
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
 class PPOAgent:
     """On-policy PPO behind the DQN-compatible acting interface.
 
-    Transitions accumulate in per-lane buffers (lane = vector-env slot)
-    so GAE runs over contiguous trajectories;
-    once ``config.horizon`` transitions are stored across all lanes, one
-    PPO update (``epochs`` × shuffled minibatches) consumes and clears
-    them.
+    Transitions accumulate in one buffer, in the order they were
+    stored, so GAE runs over contiguous trajectories; once
+    ``config.horizon`` transitions are stored, one PPO update (``epochs``
+    × shuffled minibatches) consumes and clears them.
     """
 
     double = False
@@ -305,9 +282,12 @@ class PPOAgent:
             c.state_dim, c.num_actions, c.hidden, c.learning_rate, seed=c.seed
         )
         self._rng = np.random.RandomState(c.seed + 7)
-        self._lanes: Dict[int, _LaneBuffer] = {}
-        self._pending: Dict[int, Tuple[float, float]] = {}
-        self._stored = 0
+        #: ``(state, action, scaled reward, next state, done, logprob,
+        #: value)`` per stored transition, oldest first.
+        self._buffer: List[Tuple[Any, ...]] = []
+        #: ``(logprob, value)`` of the last sampled action, consumed by
+        #: the :meth:`remember` that stores it.
+        self._pending: Optional[Tuple[float, float]] = None
         self.steps = 0
         self.train_steps = 0
         self.updates = 0
@@ -327,10 +307,11 @@ class PPOAgent:
         logp = log_softmax(logits[None, :])[0]
         return np.exp(logp)
 
-    def _sample_row(
-        self, logits: np.ndarray, value: float, greedy: bool, lane: int
-    ) -> int:
-        logp = log_softmax(logits[None, :])[0]
+    def act(self, state: np.ndarray, greedy: bool = False) -> int:
+        """Sample from the policy (or take its argmax), forwarding
+        ``state`` as one ``(1, state_dim)`` row."""
+        logits, values = self.net.predict(np.reshape(state, (1, -1)))
+        logp = log_softmax(logits)[0]
         if greedy:
             return int(np.argmax(logp))
         probs = np.exp(logp)
@@ -338,62 +319,10 @@ class PPOAgent:
         action = int(
             min(np.searchsorted(np.cumsum(probs), u), len(probs) - 1)
         )
-        self._pending[lane] = (float(logp[action]), float(value))
+        self._pending = (float(logp[action]), float(values[0]))
         return action
 
-    def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        return int(self.act_batch(np.reshape(state, (1, -1)), greedy)[0])
-
-    def act_batch(self, states: np.ndarray, greedy: bool = False) -> np.ndarray:
-        states = np.asarray(states)
-        if states.ndim != 2:
-            raise ValueError(f"expected (n, state_dim) batch, got {states.shape}")
-        logits, values = self.net.predict(states)
-        return np.array(
-            [
-                self._sample_row(logits[i], float(values[i]), greedy, lane=i)
-                for i in range(states.shape[0])
-            ],
-            dtype=np.int64,
-        )
-
     # -- remembering -------------------------------------------------------------
-    def _lane(self, lane: int) -> _LaneBuffer:
-        buf = self._lanes.get(lane)
-        if buf is None:
-            buf = self._lanes[lane] = _LaneBuffer()
-        return buf
-
-    def _store(
-        self,
-        lane: int,
-        state: np.ndarray,
-        action: int,
-        reward: float,
-        next_state: np.ndarray,
-        done: bool,
-    ) -> None:
-        cached = self._pending.pop(lane, None)
-        if cached is None:
-            # Off-policy ingest (e.g. journaled traffic): score the
-            # transition under the current policy.
-            logits, v = self.net.predict(state)
-            logp = log_softmax(logits[None, :])[0]
-            cached = (float(logp[int(action)]), float(v))
-        logprob, value = cached
-        buf = self._lane(lane)
-        buf.states.append(np.array(state, dtype=self.net.dtype).ravel())
-        buf.actions.append(int(action))
-        buf.rewards.append(float(reward) * self.config.reward_scale)
-        buf.next_states.append(
-            np.array(next_state, dtype=self.net.dtype).ravel()
-        )
-        buf.dones.append(bool(done))
-        buf.logprobs.append(float(logprob))
-        buf.values.append(float(value))
-        self._stored += 1
-        self.steps += 1
-
     def remember(
         self,
         state: np.ndarray,
@@ -402,30 +331,29 @@ class PPOAgent:
         next_state: np.ndarray,
         done: bool,
     ) -> None:
-        self.remember_batch([state], [action], [reward], [next_state], [done])
-
-    def remember_batch(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        dones: np.ndarray,
-    ) -> None:
-        states = np.atleast_2d(np.asarray(states))
-        next_states = np.atleast_2d(np.asarray(next_states))
-        for i in range(len(actions)):
-            self._store(
-                i, states[i], int(actions[i]), float(rewards[i]),
-                next_states[i], bool(dones[i]),
-            )
-        self._maybe_update()
-
-    # -- updates -------------------------------------------------------------
-    def _maybe_update(self) -> None:
-        if self._stored >= self.config.horizon:
+        cached, self._pending = self._pending, None
+        if cached is None:
+            # Off-policy ingest (e.g. journaled traffic): score the
+            # transition under the current policy.
+            logits, v = self.net.predict(state)
+            logp = log_softmax(logits[None, :])[0]
+            cached = (float(logp[int(action)]), float(v))
+        logprob, value = cached
+        dtype = self.net.dtype
+        self._buffer.append((
+            np.array(state, dtype=dtype).ravel(),
+            int(action),
+            float(reward) * self.config.reward_scale,
+            np.array(next_state, dtype=dtype).ravel(),
+            bool(done),
+            logprob,
+            value,
+        ))
+        self.steps += 1
+        if len(self._buffer) >= self.config.horizon:
             self.update()
 
+    # -- updates -------------------------------------------------------------
     def flush(self) -> Optional[float]:
         """Run a final update on the residual sub-horizon buffer.
 
@@ -433,28 +361,29 @@ class PPOAgent:
         than ``horizon`` transitions) still learn from what they gathered.
         No-op when nothing is buffered.
         """
-        if self._stored == 0:
+        if not self._buffer:
             return None
         return self.update()
 
-    def _lane_advantages(
-        self, buf: _LaneBuffer
+    def _advantages(
+        self,
+        rewards: np.ndarray,
+        values: np.ndarray,
+        dones: np.ndarray,
+        last_next_state: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """GAE advantages and returns for one contiguous lane fragment."""
+        """GAE advantages and returns over the contiguous buffer."""
         c = self.config
-        T = len(buf)
-        rewards = np.asarray(buf.rewards, dtype=np.float64)
-        values = np.asarray(buf.values, dtype=np.float64)
-        dones = np.asarray(buf.dones, dtype=bool)
+        T = len(rewards)
         next_values = np.empty(T, dtype=np.float64)
-        # V(s_{t+1}) is the stored value of the next row (lanes are
-        # contiguous); episode ends bootstrap 0, the fragment tail
+        # V(s_{t+1}) is the stored value of the next row (the buffer is
+        # contiguous); episode ends bootstrap 0, the buffer's tail
         # bootstraps from the current network.
         next_values[:-1] = values[1:]
         if dones[-1]:
             next_values[-1] = 0.0
         else:
-            _, tail = self.net.predict(buf.next_states[-1])
+            _, tail = self.net.predict(last_next_state)
             next_values[-1] = tail
         next_values[dones] = 0.0
         deltas = rewards + c.gamma * next_values - values
@@ -470,25 +399,19 @@ class PPOAgent:
     def update(self) -> Optional[float]:
         """Run one PPO update over everything stored; returns mean loss."""
         c = self.config
-        lanes = [
-            (lane, buf) for lane, buf in sorted(self._lanes.items()) if len(buf)
-        ]
-        if not lanes:
+        if not self._buffer:
             return None
-        states, actions, logprobs = [], [], []
-        advantages, returns = [], []
-        for _, buf in lanes:
-            adv, ret = self._lane_advantages(buf)
-            states.append(np.stack(buf.states))
-            actions.append(np.asarray(buf.actions, dtype=np.int64))
-            logprobs.append(np.asarray(buf.logprobs, dtype=np.float64))
-            advantages.append(adv)
-            returns.append(ret)
-        all_states = np.concatenate(states)
-        all_actions = np.concatenate(actions)
-        all_logprobs = np.concatenate(logprobs)
-        all_adv = np.concatenate(advantages)
-        all_ret = np.concatenate(returns)
+        (states, actions, rewards, next_states, dones, logprobs,
+         values) = zip(*self._buffer)
+        all_adv, all_ret = self._advantages(
+            np.asarray(rewards, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+            np.asarray(dones, dtype=bool),
+            next_states[-1],
+        )
+        all_states = np.stack(states)
+        all_actions = np.asarray(actions, dtype=np.int64)
+        all_logprobs = np.asarray(logprobs, dtype=np.float64)
         std = all_adv.std()
         all_adv = (all_adv - all_adv.mean()) / (std + 1e-8)
 
@@ -514,9 +437,8 @@ class PPOAgent:
                 self.train_steps += 1
                 losses.append(loss)
                 self.last_stats = stats
-        self._lanes.clear()
-        self._pending.clear()
-        self._stored = 0
+        self._buffer.clear()
+        self._pending = None
         self.updates += 1
         self.last_loss = float(np.mean(losses)) if losses else None
         registry = get_registry()

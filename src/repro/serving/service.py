@@ -9,11 +9,9 @@ sequence plus a size/throughput report against the unoptimized module.
 request as a greedy-rollout *session* (one
 :class:`~repro.core.environment.PhaseOrderingEnv` per request). Each tick
 stacks the observations of all active sessions and serves them with one
-batched Q-network forward per pinned model version — the same
-one-forward-drives-N machinery as vectorized training
-(:meth:`RegisteredModel.act` is the serving twin of
-``DQNAgent.act_batch``), so N customer modules cost one network call per
-step instead of N. New requests join at tick boundaries (continuous
+batched Q-network forward per pinned model version
+(:meth:`RegisteredModel.act`), so N customer modules cost one network
+call per step instead of N. New requests join at tick boundaries (continuous
 batching); when the service is idle, the first waiter is held for at most
 ``batch_window_s`` so closely-spaced arrivals share a batch, and the
 window is cut short the moment ``max_batch`` requests are waiting.

@@ -7,14 +7,12 @@ module digest) — and prints a table of per-stage totals plus the metrics
 engine's cache counters. A function-record miss builds the record (size,
 MCA and embedding together) inside the ``codegen`` stage.
 
-``--train N`` switches to the training-throughput harness: it runs the
-vectorized training loop (``--n-envs 1`` is the paper's
-one-env-at-a-time loop; ``--algo`` picks the learner: ddqn / dqn /
-prioritized-ddqn / ppo) for N environment steps over the selected
-corpus and prints the :class:`~repro.core.agent_api.TrainThroughput`
-report (steps/sec, episodes/sec, training updates). ``--compare-serial``
-additionally times the same loop at ``n_envs=1`` on the same budget and
-prints the speedup.
+``--train N`` switches to the training-throughput harness: it runs
+:meth:`~repro.core.agent_api.PosetRL.train` (``--algo`` picks the
+learner: ddqn / dqn / prioritized-ddqn / ppo) for at least N environment
+steps — N rounded up to whole episodes — over the selected corpus and
+prints the :class:`~repro.core.agent_api.TrainThroughput` report
+(steps/sec, episodes/sec, training updates).
 
 Examples::
 
@@ -22,9 +20,7 @@ Examples::
     python -m repro.tools.profile --suite mibench --benchmark susan
     python -m repro.tools.profile --steps 30 input.ll
     python -m repro.tools.profile --episodes 5 input.ll   # repeat to see hits
-    python -m repro.tools.profile --suite mibench --train 480 --n-envs 8
-    python -m repro.tools.profile --suite mibench --train 480 --n-envs 8 \\
-        --compare-serial
+    python -m repro.tools.profile --suite mibench --train 480
 """
 
 from __future__ import annotations
@@ -103,42 +99,28 @@ def _print_cache_counters(stats) -> None:
           f"row_rebuilds={flat['row_rebuilds']:.0f}")
 
 
-def _print_throughput(label: str, report) -> None:
-    print(f"{label:<12} steps={report.total_steps:<7} "
+def _run_train_harness(args, corpus) -> None:
+    """Time the training loop."""
+    from ..core.agent_api import PosetRL
+
+    agent = PosetRL(
+        action_space=args.action_space,
+        target=args.target,
+        episode_length=max(args.steps, 1),
+        algo=args.algo,
+        seed=args.seed,
+    )
+    episodes = -(-args.train // agent.episode_length)
+    print(f"training-throughput harness: {episodes} episode(s) x "
+          f"{agent.episode_length} steps, algo={args.algo}, "
+          f"corpus={len(corpus)} module(s)")
+    agent.train(corpus, episodes=episodes)
+    report = agent.last_train_throughput
+    print(f"{'train':<12} steps={report.total_steps:<7} "
           f"episodes={report.episodes:<5} wall={report.wall_seconds:>8.3f}s  "
           f"steps/s={report.steps_per_second:>8.1f}  "
           f"episodes/s={report.episodes_per_second:>7.2f}  "
           f"updates={report.train_updates}")
-
-
-def _run_train_harness(args, corpus) -> None:
-    """Time the vectorized training loop."""
-    from ..core.agent_api import PosetRL
-
-    def make_agent() -> PosetRL:
-        return PosetRL(
-            action_space=args.action_space,
-            target=args.target,
-            episode_length=max(args.steps, 1),
-            algo=args.algo,
-            seed=args.seed,
-        )
-
-    print(f"training-throughput harness: {args.train} steps, "
-          f"mode=vectorized, algo={args.algo}, n_envs={args.n_envs}, "
-          f"corpus={len(corpus)} module(s)")
-    agent = make_agent()
-    agent.train_vectorized(corpus, total_steps=args.train, n_envs=args.n_envs)
-    _print_throughput("vectorized", agent.last_train_throughput)
-    if args.compare_serial:
-        fast = agent.last_train_throughput
-        serial_agent = make_agent()
-        serial_agent.train_vectorized(corpus, total_steps=args.train, n_envs=1)
-        serial = serial_agent.last_train_throughput
-        _print_throughput("serial", serial)
-        if serial.steps_per_second:
-            print(f"speedup: {fast.steps_per_second / serial.steps_per_second:.2f}x "
-                  f"(vectorized vs serial steps/sec)")
     _print_cache_counters(agent.cache_stats())
 
 
@@ -167,15 +149,11 @@ def run(argv: Optional[List[str]] = None) -> int:
                         help="benchmark name within --suite (default: first)")
     parser.add_argument("--train", type=int, metavar="STEPS",
                         help="run the training-throughput harness for this "
-                        "many environment steps instead of stage profiling")
+                        "many environment steps, rounded up to whole "
+                        "episodes, instead of stage profiling")
     parser.add_argument("--algo", default="ddqn",
                         choices=("ddqn", "dqn", "prioritized-ddqn", "ppo"),
                         help="learning algorithm for --train (default ddqn)")
-    parser.add_argument("--n-envs", type=int, default=8,
-                        help="vector width for --train (default 8)")
-    parser.add_argument("--compare-serial", action="store_true",
-                        help="with --train: also time the n_envs=1 loop on "
-                        "the same budget and print the speedup")
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="enable observability and write a metrics/trace "
                         "snapshot to this JSON file (render it with "

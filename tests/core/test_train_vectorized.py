@@ -1,12 +1,12 @@
-"""One training loop: serial equivalence at n_envs=1, batched sanity.
+"""One training loop: serial equivalence with the reference, reporting.
 
 The load-bearing guarantee of the training loop is that it is the
-paper's algorithm: with ``n_envs=1`` and the same seed, ``train`` and
-``train_vectorized`` consume the same RNG streams and produce exactly
-the trajectory of the per-transition reference loop in
-``tests/training_reference.py`` — module sampling order, action
-sequences, replay (or PPO lane) contents, training losses, and final
-network weights — for every learner.
+paper's algorithm: with the same seed, ``train`` consumes the same RNG
+streams and produces exactly the trajectory of the per-transition
+reference loop in ``tests/training_reference.py`` — module sampling
+order, action sequences, replay (or PPO buffer) contents, training
+losses, and final network weights — for every learner. (The test names
+keep ``n_envs_1``: the loop steps one environment at a time.)
 """
 
 import numpy as np
@@ -51,16 +51,9 @@ def _rng_position(rng):
     return state[1].tolist(), state[2]
 
 
-def _lane_snapshot(rl):
-    """PPO lane buffers at an episode boundary (before any flush)."""
-    return {
-        lane: (
-            np.array(buf.states), list(buf.actions), list(buf.rewards),
-            np.array(buf.next_states), list(buf.dones),
-            list(buf.logprobs), list(buf.values),
-        )
-        for lane, buf in rl.agent._lanes.items()
-    }
+def _buffer_snapshot(rl):
+    """The PPO buffer at an episode boundary (before any flush)."""
+    return [list(row) for row in rl.agent._buffer]
 
 
 def _learner_state(rl):
@@ -106,28 +99,24 @@ def _assert_same(a, b, path="state"):
 
 
 def _run(algo, corpus, episodes, mode):
-    """Train one fresh facade; returns (episode rows, lanes, learner)."""
+    """Train one fresh facade; returns (episode rows, buffers, learner)."""
     rl = _make_agent(algo=algo)
-    lanes = []
+    buffers = []
 
     def on_episode(record):
         if algo == "ppo":
-            lanes.append(_lane_snapshot(rl))
+            buffers.append(_buffer_snapshot(rl))
 
     if mode == "reference":
         stats = reference_train(rl, corpus, episodes, callback=on_episode)
-    elif mode == "train":
-        stats = rl.train(corpus, episodes=episodes, callback=on_episode)
     else:
-        stats = rl.train_vectorized(
-            corpus, episodes=episodes, n_envs=1, callback=on_episode
-        )
+        stats = rl.train(corpus, episodes=episodes, callback=on_episode)
     rows = [
         (s.episode, s.module, s.actions, s.total_reward, s.final_size,
          s.epsilon)
         for s in stats
     ]
-    return rows, lanes, _learner_state(rl)
+    return rows, buffers, _learner_state(rl)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -135,12 +124,11 @@ class TestSerialEquivalence:
     def test_n_envs_1_is_trajectory_identical(self, corpus, algo):
         episodes = 6
         reference = _run(algo, corpus, episodes, "reference")
-        rows, lanes, learner = reference
+        rows, buffers, learner = reference
         assert len(rows) == episodes
         assert learner["train_steps"] > 0
-        assert len(lanes) == (episodes if algo == "ppo" else 0)
-        for mode in ("train", "train_vectorized"):
-            _assert_same(reference, _run(algo, corpus, episodes, mode), mode)
+        assert len(buffers) == (episodes if algo == "ppo" else 0)
+        _assert_same(reference, _run(algo, corpus, episodes, "train"), "train")
 
     def test_per_episode_loss_sequence_identical(self, corpus, algo):
         """The loss visible after each episode matches the reference."""
@@ -162,43 +150,25 @@ class TestSerialEquivalence:
 
 
 class TestBatchedTraining:
-    def test_n_envs_4_trains_and_reports(self, corpus):
-        agent = _make_agent()
-        stats = agent.train_vectorized(corpus, total_steps=40, n_envs=4)
-        assert len(stats) == 40 // EPISODE_LENGTH
-        assert all(len(s.actions) == EPISODE_LENGTH for s in stats)
-        assert agent.agent.steps == 40
-        report = agent.last_train_throughput
-        assert isinstance(report, TrainThroughput)
-        assert report.n_envs == 4 and report.total_steps == 40
-        assert report.steps_per_second > 0
-        assert report.episodes == len(stats)
-        d = report.as_dict()
-        assert d["episodes_per_second"] > 0
-
     def test_train_reports_one_env(self, corpus):
         agent = _make_agent()
         stats = agent.train(corpus, episodes=2)
         report = agent.last_train_throughput
-        assert report.n_envs == 1
+        assert isinstance(report, TrainThroughput)
         assert report.episodes == len(stats) == 2
         assert report.total_steps == 2 * EPISODE_LENGTH
+        assert report.steps_per_second > 0
+        assert report.as_dict()["episodes_per_second"] > 0
 
     def test_history_extended(self, corpus):
         agent = _make_agent()
-        agent.train_vectorized(corpus, total_steps=10, n_envs=2)
-        agent.train_vectorized(corpus, total_steps=10, n_envs=2)
+        agent.train(corpus, episodes=2)
+        agent.train(corpus, episodes=2)
         assert len(agent.train_history) == 4
 
     def test_argument_validation(self, corpus):
         agent = _make_agent()
         with pytest.raises(ValueError):
-            agent.train_vectorized(corpus)  # neither budget given
-        with pytest.raises(ValueError):
-            agent.train_vectorized(corpus, total_steps=10, episodes=2)
-        with pytest.raises(ValueError):
-            agent.train_vectorized(corpus, total_steps=0)
-        with pytest.raises(ValueError):
-            agent.train_vectorized([], total_steps=10)
+            agent.train(corpus, episodes=0)
         with pytest.raises(ValueError):
             agent.train([], episodes=2)

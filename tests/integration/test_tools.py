@@ -241,22 +241,21 @@ class TestServe:
 
 
 class TestProfile:
-    def test_training_harness_compare_serial(self, capsys):
+    def test_training_harness(self, capsys):
+        """--train rounds the step budget up to whole episodes and the
+        report shows the steps actually run."""
         from repro.tools import profile
 
         rc, out, _ = run_tool(
             profile,
-            ["--suite", "mibench", "--train", "20", "--steps", "5",
-             "--n-envs", "2", "--compare-serial"],
+            ["--suite", "mibench", "--train", "22", "--steps", "5"],
             capsys,
         )
         assert rc == 0
         lines = {line.split()[0]: line for line in out.splitlines() if line}
-        assert "mode=vectorized" in out and "n_envs=2" in out
-        for label in ("vectorized", "serial"):
-            assert "steps=20 " in lines[label]
-            assert "episodes=4 " in lines[label]
-        assert lines["speedup:"].endswith("(vectorized vs serial steps/sec)")
+        assert "5 episode(s) x 5 steps, algo=ddqn" in out
+        assert "steps=25 " in lines["train"]
+        assert "episodes=5 " in lines["train"]
 
     def test_stage_table_counts_one_clone_per_episode(self, capsys):
         """The episode clones its input once; a repeat of the same actions

@@ -1,5 +1,6 @@
 """Structural fingerprints: clone-stability, mutation sensitivity,
-module-level order-insensitivity."""
+module-level order-insensitivity, and equality with the token-join
+reference in ``tests/fingerprint_reference.py``."""
 
 import pytest
 
@@ -15,7 +16,9 @@ from repro.ir import (
 )
 from repro.ir.instructions import BinaryOp, Load, Store
 from repro.passes import build_pipeline, run_passes
-from repro.workloads import ProgramProfile, generate_program
+from repro.testing.generator import FuzzProfile, generate_fuzz_program
+from repro.workloads import ProgramProfile, generate_program, load_suite
+from tests.fingerprint_reference import streaming_function_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +156,32 @@ class TestModuleLevel:
 
     def test_fingerprint_is_deterministic_across_calls(self, module):
         assert module_fingerprint(module) == module_fingerprint(module)
+
+
+def _reference_corpus():
+    programs = [
+        program for suite_name in ("mibench", "spec2006", "spec2017")
+        for program in load_suite(suite_name)
+    ]
+    assert len(programs) == 28  # the validation programs
+    programs += [
+        (f"fuzz{seed}", generate_fuzz_program(FuzzProfile(seed=seed)))
+        for seed in range(8)
+    ]
+    return programs
+
+
+def test_packed_fingerprint_equals_streaming_reference():
+    """The packed-row digest equals the token-join reference for every
+    function, raw and after -Oz, declarations included."""
+    declarations = 0
+    for name, module in _reference_corpus():
+        oz = module.clone()
+        build_pipeline("Oz").run(oz)
+        for variant in (module, oz):
+            for fn in variant.functions:
+                declarations += fn.is_declaration
+                assert function_fingerprint(fn) == (
+                    streaming_function_fingerprint(fn)
+                ), (name, fn.name)
+    assert declarations > 0

