@@ -9,7 +9,7 @@ same IR differently, which is exactly why the paper reports both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 # Machine-op classes produced by instruction selection.

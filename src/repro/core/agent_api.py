@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,14 +20,13 @@ from ..observability import get_registry
 from ..rl.dqn import AgentConfig, DoubleDQNAgent, DQNAgent
 from ..rl.ppo import PPOAgent, PPOConfig
 from .environment import (
-    ActionSpace,
     DEFAULT_EPISODE_LENGTH,
     PhaseOrderingEnv,
     apply_action,
     greedy_rollout,
     make_action_space,
 )
-from .evaluate import BenchmarkResult, SuiteSummary, evaluate_suite
+from .evaluate import SuiteSummary, evaluate_suite
 from .metrics import MetricsEngine
 from .rewards import RewardWeights
 

@@ -142,7 +142,18 @@ class PhaseOrderingEnv:
         self._base_fingerprint = self.metrics.fingerprint(module, base_fps)
         self._base_state = base.embedding
         self._base_state.setflags(write=False)
+        self._single = False
         self.reset()
+
+    @classmethod
+    def _single_episode(cls, module: Module, **kwargs) -> "PhaseOrderingEnv":
+        """An env whose one episode mutates ``module``, which nobody else
+        holds (a served request's own parse), instead of a clone; as
+        ``original`` then stops being the input, it refuses :meth:`reset`."""
+        env = cls(module, **kwargs)
+        env._module = module
+        env._single = True
+        return env
 
     @property
     def current(self) -> Module:
@@ -189,6 +200,8 @@ class PhaseOrderingEnv:
         return self._state
 
     def reset(self) -> np.ndarray:
+        if self._single:
+            raise RuntimeError("a single-episode env cannot reset")
         # The episode's private module, cloned from the original by the
         # first step that needs one, and its fingerprint. ``_lag`` holds
         # the actions taken through changed transition-cache hits since

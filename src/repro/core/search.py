@@ -15,7 +15,7 @@ Baselines and bounds to position the RL agent against:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import glob
 import os
 import threading
+import zipfile
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -168,13 +169,16 @@ class JournalReader:
 
     Tracks which segment files it has already consumed, so repeated
     :meth:`read_new` calls return only fresh experience. Files removed by
-    rotation between calls are simply skipped — the reader never blocks
-    the writer and vice versa.
+    rotation between calls, and torn or truncated files, are skipped and
+    counted in :attr:`skipped` — the reader never blocks the writer and
+    vice versa.
     """
 
     def __init__(self, directories: Iterable[str]):
         self.directories = list(directories)
         self._seen: set = set()
+        #: Segments that could not be read (rotated away or torn).
+        self.skipped = 0
 
     def read_new(self) -> List[TransitionArrays]:
         """Transition arrays from segments not yet consumed, oldest first."""
@@ -186,7 +190,10 @@ class JournalReader:
                     continue
                 self._seen.add(path)
                 try:
-                    with np.load(path, allow_pickle=False) as data:
+                    # Own the handle: a failed np.load(path) leaks it.
+                    with open(path, "rb") as f, np.load(
+                        f, allow_pickle=False
+                    ) as data:
                         batches.append(
                             (
                                 data["states"].copy(),
@@ -196,8 +203,9 @@ class JournalReader:
                                 data["dones"].copy(),
                             )
                         )
-                except (OSError, KeyError, ValueError):
+                except (OSError, KeyError, ValueError, EOFError,
+                        zipfile.BadZipFile):
                     # Rotated away or torn mid-read — skip, never crash
                     # the trainer over one segment.
-                    continue
+                    self.skipped += 1
         return batches

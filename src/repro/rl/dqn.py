@@ -8,7 +8,7 @@ ablation benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from ..observability import get_registry
 from .network import QNetwork
 from .priority import PrioritizedReplayMemory
 from .replay import ReplayMemory
-from .schedule import LinearSchedule, paper_epsilon_schedule
+from .schedule import LinearSchedule
 
 
 @dataclass

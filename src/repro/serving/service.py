@@ -17,17 +17,17 @@ batching); when the service is idle, the first waiter is held for at most
 window is cut short the moment ``max_batch`` requests are waiting.
 
 **Caching.** One bounded :class:`~repro.caching.LRUCache` per key. The
-admission cache maps the exact request text to its fingerprint and
-parsed module (or its rejection reason), so a byte-identical
-resubmission skips the parse. The result cache maps ``(fingerprint,
+admission cache maps the exact request text to its fingerprint (or its
+rejection reason), so a byte-identical resubmission answered from the
+result cache skips the parse. The result cache maps ``(fingerprint,
 model version)`` to the recorded report; repeat submissions return it
 without touching the pass pipeline or any measurement code. The check
 cache holds the ``(input, result)`` fingerprint pairs that passed every
-check. Each session carries the module parsed from its own text, so an
-admission entry evicted mid-flight costs nothing. Session environments
-are built fresh on one :class:`~repro.core.metrics.MetricsEngine` per
-action-space kind, so even cache-miss rollouts over known modules run on
-the warm transition cache. (Engines are segregated by action-space kind
+check. Each session carries its text and a module parsed for it alone,
+which its environment optimizes in place. Session environments are
+built fresh on one :class:`~repro.core.metrics.MetricsEngine` per
+action-space kind, so even cache-miss rollouts over known modules run
+on the warm transition cache. (Engines are segregated by action-space kind
 because the transition cache keys on raw action indices, which mean
 different sub-sequences in different spaces.)
 
@@ -53,7 +53,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,11 +70,9 @@ from ..passes.pipelines import OZ_PASS_SEQUENCE, build_pipeline
 from ..rl.network import QNetwork
 from .registry import ModelRegistry, RegisteredModel
 
-#: Admission cache capacity (exact request text -> fingerprint and parsed
-#: module, or the rejection reason). A parsed module that has been
-#: measured holds about 150 KB on ``llvm_test_suite`` programs, so this
-#: is the service's bound on retained IR; an evicted text costs one
-#: parse + fingerprint (about 4 ms) when it comes back.
+#: Admission cache capacity (exact request text -> fingerprint, or the
+#: rejection reason). Entries hold no IR: a module lives only as long as
+#: the session optimizing it.
 ADMISSION_CACHE_SIZE = 256
 #: Check cache capacity (``(input, result)`` fingerprint pairs that passed
 #: every check; entries are two 32-char keys).
@@ -87,9 +85,9 @@ LATENCY_STAGES = ("queue", "forward", "passes", "measure", "verify")
 #: Request outcomes (``repro_serving_requests_total``/latency labels).
 _STATUSES = ("ok", "fallback", "rejected")
 
-#: An admission cache entry: ``(fingerprint, parsed module)`` for an
-#: accepted text, the rejection reason for a rejected one.
-_Admission = Union[Tuple[str, Module], str]
+#: An admission cache entry: ``(fingerprint, None)`` for an accepted
+#: text, ``(None, rejection reason)`` for a rejected one.
+_Admission = Tuple[Optional[str], Optional[str]]
 
 
 def text_key(ir_text: str) -> str:
@@ -238,18 +236,20 @@ class OptimizeResult:
 
 
 class _Session:
-    """One in-flight request: its parsed module, pinned model, env and
-    rollout state."""
+    """One in-flight request: its text and the module parsed from it,
+    pinned model, env and rollout state."""
 
     __slots__ = (
-        "name", "fingerprint", "module", "model", "future", "arrival",
-        "deadline", "env", "state", "finalized", "stage_seconds", "traj",
+        "name", "fingerprint", "text", "module", "model", "future",
+        "arrival", "deadline", "env", "state", "finalized",
+        "stage_seconds", "traj",
     )
 
     def __init__(
         self,
         name: str,
         fingerprint: str,
+        text: str,
         module: Module,
         model: RegisteredModel,
         future: "Future[OptimizeResult]",
@@ -258,6 +258,8 @@ class _Session:
     ):
         self.name = name
         self.fingerprint = fingerprint
+        self.text = text
+        #: Parsed for this session alone: its env optimizes it in place.
         self.module = module
         self.model = model
         self.future = future
@@ -274,6 +276,11 @@ class _Session:
         #: one more row than ``actions``: the rollout's visited states
         #: including the terminal one.
         self.traj: Optional[Tuple[list, list, list]] = None
+
+    def input_module(self) -> Module:
+        """The unmodified input: :attr:`module` until an env has taken
+        it over, a fresh parse of :attr:`text` after."""
+        return self.module if self.env is None else parse_module(self.text)
 
 
 class OptimizationService:
@@ -485,13 +492,14 @@ class OptimizationService:
 
         key = text_key(ir_text)
         admission = self._admission.get(key)
+        module: Optional[Module] = None
         if admission is None:
-            admission = self._admission_check(ir_text)
+            admission, module = self._admission_check(ir_text)
             self._admission.put(key, admission)
-        if isinstance(admission, str):
-            self._reject(future, name, arrival, admission)
+        fingerprint, reason = admission
+        if reason is not None:
+            self._reject(future, name, arrival, reason)
             return future
-        fingerprint, module = admission
 
         model = self.registry.active
         if self.result_cache is not None:
@@ -505,10 +513,13 @@ class OptimizationService:
                 self._publish_result(name, hit.status, latency_s,
                                      cache_hit=True)
                 return future
+        if module is None:  # admitted before: the session needs its own
+            module = parse_module(ir_text)
 
         session = _Session(
             name=name,
             fingerprint=fingerprint,
+            text=ir_text,
             module=module,
             model=model,
             future=future,
@@ -557,19 +568,22 @@ class OptimizationService:
         return out
 
     # -- admission (client threads) -----------------------------------------
-    def _admission_check(self, ir_text: str) -> _Admission:
-        """Parse/oversize guard + fingerprint: one admission cache entry."""
+    def _admission_check(
+        self, ir_text: str
+    ) -> Tuple[_Admission, Optional[Module]]:
+        """Parse/oversize guard + fingerprint: one admission cache entry,
+        and the parsed module of an accepted text."""
         try:
             module = parse_module(ir_text)
         except Exception as exc:
-            return f"parse_error: {exc}"
+            return (None, f"parse_error: {exc}"), None
         count = module.instruction_count
         if count > self.max_instructions:
-            return (
+            return (None, (
                 f"oversized: {count} instructions exceed the "
                 f"service limit of {self.max_instructions}"
-            )
-        return module_fingerprint(module), module
+            )), None
+        return (module_fingerprint(module), None), module
 
     def _count(self, key: str, n: int = 1) -> None:
         with self._counter_lock:
@@ -699,9 +713,9 @@ class OptimizationService:
             return
         try:
             model = session.model
-            env = PhaseOrderingEnv(
+            env = PhaseOrderingEnv._single_episode(
                 session.module,
-                model.action_space,
+                action_space=model.action_space,
                 target=self.target,
                 episode_length=model.episode_length,
                 metrics=self._engine_for(model.action_space_kind),
@@ -811,7 +825,9 @@ class OptimizationService:
                 if self.semantic_check:
                     from ..testing.oracle import modules_equivalent
 
-                    mismatch = modules_equivalent(session.module, optimized)
+                    mismatch = modules_equivalent(
+                        session.input_module(), optimized
+                    )
                     if mismatch is not None:
                         self._note_verify_time(session, verify_start)
                         self._finalize_fallback(
@@ -883,12 +899,12 @@ class OptimizationService:
 
     def _fallback_result(self, session: _Session, reason: str) -> OptimizeResult:
         try:
-            original = session.module
+            module = session.input_module()
             engine = self._engine_for(session.model.action_space_kind)
-            base_size = engine.size(original).total_bytes
-            base_throughput = engine.throughput(original).throughput
-            copy = original.clone()
-            build_pipeline("Oz").run(copy)
+            base_size = engine.size(module).total_bytes
+            base_throughput = engine.throughput(module).throughput
+            # The session ends here, so -Oz runs on its module in place.
+            build_pipeline("Oz").run(module)
             return OptimizeResult(
                 name=session.name,
                 status="fallback",
@@ -897,11 +913,11 @@ class OptimizationService:
                 action_space=session.model.action_space_kind,
                 passes=list(OZ_PASS_SEQUENCE),
                 base_size=base_size,
-                optimized_size=engine.size(copy).total_bytes,
+                optimized_size=engine.size(module).total_bytes,
                 base_throughput=base_throughput,
-                optimized_throughput=engine.throughput(copy).throughput,
+                optimized_throughput=engine.throughput(module).throughput,
                 fingerprint=session.fingerprint,
-                optimized_ir=print_module(copy) if self.include_ir else None,
+                optimized_ir=print_module(module) if self.include_ir else None,
                 latency_s=time.monotonic() - session.arrival,
             )
         except Exception as exc:  # pragma: no cover - double fault

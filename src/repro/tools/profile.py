@@ -161,6 +161,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("input", nargs="?",
                         help="textual IR file (- for stdin)")
     args = parser.parse_args(argv)
+    if args.train is not None and args.train <= 0:
+        parser.error("--train takes a positive number of steps")
 
     # Enable before any env/engine is constructed: instruments are bound
     # at construction time (see repro.observability).
@@ -193,7 +195,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     else:
         parser.error("provide an input file or --suite")
 
-    if args.train:
+    if args.train is not None:
         _run_train_harness(args, corpus)
         _maybe_export_metrics(args)
         return 0

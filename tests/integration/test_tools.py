@@ -257,6 +257,16 @@ class TestProfile:
         assert "steps=25 " in lines["train"]
         assert "episodes=5 " in lines["train"]
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_training_harness_rejects_non_positive_steps(self, steps, capsys):
+        from repro.tools import profile
+
+        with pytest.raises(SystemExit) as exc:
+            run_tool(profile, ["--suite", "mibench", "--train", steps], capsys)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--train takes a positive number of steps" in err
+
     def test_stage_table_counts_one_clone_per_episode(self, capsys):
         """The episode clones its input once; a repeat of the same actions
         is served by the transition cache and clones nothing. The

@@ -100,6 +100,21 @@ class TestReader:
         batches = reader.read_new()
         assert len(batches) == 1  # the good one; the torn one is skipped
 
+    def test_truncated_middle_segment_keeps_the_intact_ones(self, tmp_path):
+        journal = ExperienceJournal(str(tmp_path), segment_size=1)
+        for n, seed in ((2, 1), (3, 2), (4, 3)):
+            journal.append(*_traj(n=n, seed=seed))
+        first, middle, last = journal.segments()
+        with open(middle, "rb") as f:
+            data = f.read()
+        with open(middle, "wb") as f:
+            f.write(data[: len(data) // 2])
+        reader = JournalReader([str(tmp_path)])
+        batches = reader.read_new()
+        assert [len(batch[1]) for batch in batches] == [2, 4]
+        assert reader.skipped == 1
+        assert reader.read_new() == []  # the torn segment is not retried
+
     def test_multiple_directories(self, tmp_path):
         a, b = tmp_path / "shard0", tmp_path / "shard1"
         ExperienceJournal(str(a), segment_size=1).append(*_traj(n=2, seed=1))

@@ -173,8 +173,10 @@ class TestFailover:
                 heartbeat_interval_s=30.0, heartbeat_timeout_s=60.0,
             )
             with gw:
-                # A slow, never-seen module pinned to shard 0.
-                text = fresh_text_for_shard(gw, 0, segments=8)
+                # A slow, never-seen module pinned to shard 0: about
+                # 50 ms of work on a warm shard, so the kill below lands
+                # mid-request.
+                text = fresh_text_for_shard(gw, 0, segments=32)
                 victim = gw._pool.process(0)
                 future = gw.submit(text, name="inflight")
                 time.sleep(0.02)  # let the worker start computing

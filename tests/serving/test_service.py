@@ -9,6 +9,7 @@ import pytest
 
 from repro import PosetRL
 from repro.core.environment import PhaseOrderingEnv
+from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.ir.verifier import VerificationError, verify_module
@@ -33,6 +34,15 @@ def texts(modules):
 @pytest.fixture()
 def agent():
     return PosetRL(seed=0)
+
+
+def _oz_text(text):
+    """The printed ``-Oz`` result of a fresh parse of ``text``."""
+    from repro.passes.pipelines import build_pipeline
+
+    module = parse_module(text)
+    build_pipeline("Oz").run(module)
+    return print_module(module)
 
 
 def make_service(agent, **kwargs):
@@ -165,9 +175,9 @@ class TestBoundedMemory:
     def test_admission_cache_bounds_retained_modules(self, agent,
                                                       monkeypatch):
         """Without a result cache (the learning loop's setting), the
-        service keeps at most ``ADMISSION_CACHE_SIZE`` parsed modules and
-        no environment once stopped; an evicted text is parsed again and
-        answered as before."""
+        admission cache holds no module: once stopped, the service keeps
+        no parsed module and no environment. An evicted text is parsed
+        again and answered as before."""
         monkeypatch.setattr(service_mod, "ADMISSION_CACHE_SIZE", 4)
         parsed, envs = [], []
         real_parse = service_mod.parse_module
@@ -197,7 +207,7 @@ class TestBoundedMemory:
         gc.collect()
         assert [r.status for r in first] == ["ok"] * 12
         assert len(parsed) == 13  # the evicted first text, parsed again
-        assert sum(ref() is not None for ref in parsed) <= 4
+        assert all(ref() is None for ref in parsed)
         assert envs and all(ref() is None for ref in envs)
         assert again.ok
         assert again.report() == first[0].report()
@@ -245,6 +255,34 @@ class TestBoundedMemory:
         assert cached["hits"] + cached["misses"] == n
         assert svc.counters["requests"] == n
         assert svc.counters["ok"] + svc.counters["cache_hits"] == n
+
+
+class TestNoClone:
+    @pytest.mark.parametrize("semantic_check", [False, True])
+    def test_ok_session_never_clones(self, agent, texts, monkeypatch,
+                                     semantic_check):
+        """The session's env optimizes the module parsed for it in place;
+        the semantic check compares against a fresh parse of the text."""
+        clones = []
+        real_clone = Module.clone
+
+        def counting_clone(self):
+            clones.append(self)
+            return real_clone(self)
+
+        monkeypatch.setattr(Module, "clone", counting_clone)
+        with make_service(agent, result_cache_size=None,
+                          semantic_check=semantic_check) as svc:
+            first = svc.optimize(texts[0])
+            again = svc.optimize(texts[0])  # admission hit: parsed again
+        assert first.ok and again.ok
+        assert again.report() == first.report()
+        assert clones == []
+
+    def test_single_episode_env_refuses_a_second_episode(self, modules):
+        env = PhaseOrderingEnv._single_episode(modules[0].clone())
+        with pytest.raises(RuntimeError):
+            env.reset()
 
 
 class TestGuard:
@@ -295,6 +333,52 @@ class TestGuard:
         assert "verify_error" in result.reason
         assert "injected" in result.reason
         assert svc.error_counts == {"verify_error": 1}
+
+    def test_fallback_after_steps_reports_oz_of_the_input(
+        self, agent, modules, texts, monkeypatch
+    ):
+        """The env has optimized the session's module in place when the
+        verifier trips; the fallback still reports ``-Oz`` of the
+        unmodified input."""
+        from repro.core.evaluate import optimize_with_oz
+
+        seen = []
+
+        def broken_verify(module):
+            seen.append(print_module(module))
+            raise VerificationError("injected: bad IR")
+
+        monkeypatch.setattr(service_mod, "verify_module", broken_verify)
+        with make_service(agent) as svc:
+            result = svc.optimize(texts[0])
+        assert result.status == "fallback"
+        assert "verify_error" in result.reason
+        assert seen and seen[0] != texts[0]  # the env did change it
+        oz = optimize_with_oz(modules[0], "x86-64")
+        assert result.base_size == agent.metrics.size(modules[0]).total_bytes
+        assert result.optimized_size == oz["size"]
+        assert result.optimized_ir == _oz_text(texts[0])
+
+    def test_pass_failure_mid_episode_falls_back_to_oz_of_the_input(
+        self, agent, modules, texts, monkeypatch
+    ):
+        from repro.core.evaluate import optimize_with_oz
+
+        real_step = PhaseOrderingEnv.step
+
+        def step_then_crash(self, action):
+            if self.steps == 5:
+                raise RuntimeError("injected pass crash")
+            return real_step(self, action)
+
+        monkeypatch.setattr(PhaseOrderingEnv, "step", step_then_crash)
+        with make_service(agent) as svc:
+            result = svc.optimize(texts[0])
+        assert result.status == "fallback"
+        assert "step 5" in result.reason
+        oz = optimize_with_oz(modules[0], "x86-64")
+        assert result.optimized_size == oz["size"]
+        assert result.optimized_ir == _oz_text(texts[0])
 
     def test_pass_failure_falls_back(self, agent, texts, monkeypatch):
         from repro.core.environment import PhaseOrderingEnv
