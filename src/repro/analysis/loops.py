@@ -3,19 +3,27 @@
 Identifies loops from back edges over the dominator tree, producing
 :class:`Loop` records with header / latches / blocks / exits / preheader and
 nesting depth. All loop passes start from :class:`LoopInfo`.
+
+They are computed once per CFG shape on the function's cached
+:class:`~repro.analysis.cfg.IndexCFG`, and :class:`LoopInfo` is a view
+over them. Every view of a shape shares its :class:`Loop` records; a
+consumer that edits one (``loop-simplify`` merging latches) edits a
+:meth:`Loop.copy`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..ir.module import BasicBlock, Function
-from .cfg import predecessors_map
-from .dominators import DominatorTree
+from .cfg import IndexCFG, index_cfg
+from .dominators import dominator_info
 
 
 class Loop:
     """A natural loop: a header plus the blocks of its back-edge bodies."""
+
+    __slots__ = ("header", "blocks", "_block_ids", "latches", "parent", "children")
 
     def __init__(self, header: BasicBlock):
         self.header = header
@@ -32,6 +40,17 @@ class Loop:
         if id(block) not in self._block_ids:
             self._block_ids.add(id(block))
             self.blocks.append(block)
+
+    def copy(self) -> "Loop":
+        """A record of this loop that can be edited without touching it
+        (the records :class:`LoopInfo` hands out are shared)."""
+        new = Loop(self.header)
+        new.blocks = list(self.blocks)
+        new._block_ids = set(self._block_ids)
+        new.latches = list(self.latches)
+        new.parent = self.parent
+        new.children = list(self.children)
+        return new
 
     @property
     def depth(self) -> int:
@@ -89,70 +108,120 @@ class Loop:
         return f"<Loop header=%{self.header.name} blocks={len(self.blocks)} depth={self.depth}>"
 
 
-class LoopInfo:
-    """All natural loops of a function, with a nesting forest."""
+class LoopForest:
+    """The natural loops of an index CFG, in order of their first back
+    edge (blocks in layout order, successors in order). Per loop ``lp``:
+    ``headers``, ``members`` (the body), ``parent`` (smallest enclosing
+    loop or ``-1``) and ``exit_edges`` (edges leaving the body, at least
+    1); per block, ``innermost`` (``-1`` for none). ``records`` are the
+    matching :class:`Loop` records (body in the backward walk's order,
+    one latch per back edge), ``innermost_first`` them innermost first."""
 
-    def __init__(self, fn: Function, dom: Optional[DominatorTree] = None):
-        self.fn = fn
-        self.dom = dom or DominatorTree(fn)
-        self.loops: List[Loop] = []
-        self._loop_of_block: Dict[int, Loop] = {}
-        self._compute()
+    __slots__ = (
+        "headers", "members", "parent", "innermost", "exit_edges",
+        "records", "innermost_first",
+    )
 
-    def _compute(self) -> None:
-        preds = predecessors_map(self.fn)
-        # Find back edges (latch -> header where header dominates latch).
-        back_edges: List[Tuple[BasicBlock, BasicBlock]] = []
-        for block in self.fn.blocks:
-            if not self.dom.is_reachable(block):
-                continue
-            for succ in block.successors():
-                if self.dom.dominates_block(succ, block):
-                    back_edges.append((block, succ))
-
-        loops_by_header: Dict[int, Loop] = {}
-        for latch, header in back_edges:
-            loop = loops_by_header.get(id(header))
-            if loop is None:
-                loop = Loop(header)
-                loops_by_header[id(header)] = loop
-            loop.latches.append(latch)
-            # Walk backwards from the latch collecting the loop body.
-            stack = [latch]
-            while stack:
-                block = stack.pop()
-                if loop.contains(block):
+    def __init__(self, cfg: IndexCFG):
+        dom = dominator_info(cfg)
+        succs, preds, pre = cfg.succs, cfg.preds, dom.pre
+        headers: List[int] = []
+        bodies: List[List[int]] = []
+        members: List[Set[int]] = []
+        latches: List[List[int]] = []
+        loop_of_header: Dict[int, int] = {}
+        for latch, succ in enumerate(succs):
+            if pre[latch] < 0:
+                continue  # unreachable
+            for header in succ:
+                if not dom.dominates(header, latch):
                     continue
-                loop.add_block(block)
-                for pred in preds.get(id(block), []):
-                    if self.dom.is_reachable(pred):
-                        stack.append(pred)
-
-        self.loops = list(loops_by_header.values())
-        # Nesting: loop A is a child of B if B contains A's header and A != B
-        # and B is the smallest such loop.
-        for loop in self.loops:
-            best: Optional[Loop] = None
-            for other in self.loops:
-                if other is loop or not other.contains(loop.header):
+                lp = loop_of_header.get(header)
+                if lp is None:
+                    lp = loop_of_header[header] = len(headers)
+                    headers.append(header)
+                    bodies.append([header])
+                    members.append({header})
+                    latches.append([])
+                latches[lp].append(latch)
+                # Walk backwards from the latch collecting the body.
+                body, member = bodies[lp], members[lp]
+                stack = [latch]
+                while stack:
+                    b = stack.pop()
+                    if b in member:
+                        continue
+                    member.add(b)
+                    body.append(b)
+                    stack.extend(p for p in preds[b] if pre[p] >= 0)
+        n_loops = len(headers)
+        # Nesting: the smallest other loop containing the header.
+        parent = [-1] * n_loops
+        for lp in range(n_loops):
+            best = -1
+            for other in range(n_loops):
+                if other == lp or headers[lp] not in members[other]:
                     continue
-                if best is None or len(other.blocks) < len(best.blocks):
+                if best < 0 or len(bodies[other]) < len(bodies[best]):
                     best = other
-            loop.parent = best
-            if best is not None:
-                best.children.append(loop)
+            parent[lp] = best
+        innermost = [-1] * len(succs)
+        for lp in range(n_loops):
+            for b in bodies[lp]:
+                cur = innermost[b]
+                if cur < 0 or len(bodies[lp]) < len(bodies[cur]):
+                    innermost[b] = lp
+        self.headers, self.members = tuple(headers), tuple(map(frozenset, members))
+        self.parent, self.innermost = tuple(parent), tuple(innermost)
+        self.exit_edges = tuple(
+            max(sum(1 for b in bodies[lp] for s in succs[b]
+                    if s not in members[lp]), 1)
+            for lp in range(n_loops)
+        )
 
-        # Innermost loop per block.
-        for loop in self.loops:
-            for block in loop.blocks:
-                current = self._loop_of_block.get(id(block))
-                if current is None or len(loop.blocks) < len(current.blocks):
-                    self._loop_of_block[id(block)] = loop
+        blocks = cfg.blocks
+        records: List[Loop] = []
+        for lp in range(n_loops):
+            loop = Loop(blocks[headers[lp]])
+            loop.blocks = [blocks[b] for b in bodies[lp]]
+            loop._block_ids = set(map(id, loop.blocks))
+            loop.latches = [blocks[b] for b in latches[lp]]
+            records.append(loop)
+        for lp, loop in enumerate(records):
+            if parent[lp] >= 0:
+                loop.parent = records[parent[lp]]
+                loop.parent.children.append(loop)
+        self.records = records
+        self.innermost_first = sorted(records, key=lambda l: -l.depth)
+
+
+def loop_forest(cfg: IndexCFG) -> LoopForest:
+    """The natural loops of ``cfg``, computed on first use."""
+    if cfg.loops is None:
+        cfg.loops = LoopForest(cfg)
+    return cfg.loops
+
+
+class LoopInfo:
+    """All natural loops of a function, with a nesting forest: a view of
+    the cached :class:`LoopForest` of ``fn``'s CFG shape at construction.
+    ``loops`` is the view's own list; the :class:`Loop` records in it are
+    shared and must not be edited (use :meth:`Loop.copy`)."""
+
+    def __init__(self, fn: Function):
+        self.fn = fn
+        self._cfg = cfg = index_cfg(fn)
+        self._forest = forest = loop_forest(cfg)
+        self.loops: List[Loop] = list(forest.records)
 
     # -- queries ---------------------------------------------------------------
     def loop_for(self, block: BasicBlock) -> Optional[Loop]:
         """Innermost loop containing ``block``."""
-        return self._loop_of_block.get(id(block))
+        b = self._cfg.index.get(id(block))
+        if b is None:
+            return None
+        lp = self._forest.innermost[b]
+        return self._forest.records[lp] if lp >= 0 else None
 
     def depth_of(self, block: BasicBlock) -> int:
         loop = self.loop_for(block)
@@ -163,39 +232,4 @@ class LoopInfo:
 
     def innermost_first(self) -> List[Loop]:
         """Loops ordered innermost-to-outermost (stable within a depth)."""
-        return sorted(self.loops, key=lambda l: -l.depth)
-
-
-def has_natural_loop(fn: Function) -> bool:
-    """Whether ``LoopInfo(fn).loops`` is non-empty: some reachable block
-    has a successor that dominates it (a back edge).
-
-    A back edge is a retreating edge of every depth-first walk from the
-    entry (its target dominates its source, so it is on the walk's
-    stack), so a walk without retreating edges answers False without a
-    dominator tree; otherwise only the retreating edges are tested.
-    """
-    if not fn.blocks:
-        return False
-    entry = fn.entry
-    seen = {id(entry)}
-    on_stack = {id(entry)}
-    stack = [(entry, iter(entry.successors()))]
-    retreating: List[Tuple[BasicBlock, BasicBlock]] = []
-    while stack:
-        block, succs = stack[-1]
-        for succ in succs:
-            if id(succ) in on_stack:
-                retreating.append((block, succ))
-            elif id(succ) not in seen:
-                seen.add(id(succ))
-                on_stack.add(id(succ))
-                stack.append((succ, iter(succ.successors())))
-                break
-        else:
-            stack.pop()
-            on_stack.discard(id(block))
-    if not retreating:
-        return False
-    dom = DominatorTree(fn)
-    return any(dom.dominates_block(head, tail) for tail, head in retreating)
+        return list(self._forest.innermost_first)

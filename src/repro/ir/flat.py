@@ -7,8 +7,9 @@ operand-kind counts, block boundaries as offset arrays), the lowered
 machine-op stream as per-block count matrices, dependence structure as
 CSR adjacency, and the analysis results every metric consumer reads
 (block frequencies, liveness spans, reaching-store flow edges). The
-build walks the IR once, and computes those analyses on the integer CFG
-that walk gathers. The metric kernels —
+build walks the IR once, and computes those analyses on the function's
+index CFG (:func:`repro.analysis.cfg.index_cfg`, cached per CFG shape
+and shared with the passes). The metric kernels —
 :func:`repro.codegen.objfile.flat_function_text_size`,
 :func:`repro.mca.sched.flat_analyze_function` and
 :meth:`repro.embeddings.ir2vec.IR2VecEncoder.flat_function_embedding` —
@@ -211,7 +212,7 @@ class FlatFunction:
         "kind_counts",
         "block_uops", "block_mop_counts", "fn_mop_counts",
         "inst_latency",
-        "wave_insts", "wave_offsets", "wave_deps", "wave_dep_offsets",
+        "wave_insts", "wave_deps", "wave_dep_offsets",
         "rec_idx", "rec_offsets",
         "overheads", "freqs",
         "flow_dst", "flow_src", "round_offsets",
@@ -225,23 +226,25 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
 
     One walk over the instruction stream interns codes, counts operand
     kinds, lowers to machine ops and records dependence structure, flow
-    edges, the integer CFG and per-block liveness and memory summaries —
-    all into Python lists and ints, converted to numpy once at the end.
-    Block frequencies, liveness and reaching stores then run on the index
-    CFG (:func:`_block_frequencies`, :func:`_liveness`,
+    edges and per-block liveness and memory summaries — all into Python
+    lists and ints, converted to numpy once at the end. Block
+    frequencies, liveness and reaching stores then run on the cached
+    index CFG (:func:`_block_frequencies`, :func:`_liveness`,
     :func:`_reaching_stores`), so the kernels never touch the object IR.
     """
     # Lazy imports: these modules import repro.ir themselves.
+    from ..analysis.cfg import index_cfg
     from ..codegen.isel import lower_instruction
     from ..mca.sched import COND_BRANCH_OVERHEAD
 
-    blocks = fn.blocks
+    cfg = index_cfg(fn)
+    blocks = cfg.blocks
+    block_index = cfg.index
+    succs = cfg.succs
     n_blocks = len(blocks)
-    block_index: Dict[int, int] = {}
     index_of: Dict[int, int] = {}
     offsets = [0]
-    for bi, block in enumerate(blocks):
-        block_index[id(block)] = bi
+    for block in blocks:
         for inst in block.instructions:
             index_of[id(inst)] = len(index_of)
         offsets.append(len(index_of))
@@ -265,7 +268,6 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
     waves: List[List[int]] = []
     wave_dep_lists: List[List[Sequence[int]]] = []
     rec_candidates: List[Tuple[int, int]] = []  # (block, phi source)
-    succs: List[List[int]] = []
     probs: List[List[float]] = []
     overheads = [0.0] * n_blocks
     use_bits = [0] * n_blocks
@@ -401,8 +403,7 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
         use_bits[bi] = use
         def_bits[bi] = defs
         mem_events.append(events)
-        succ = [block_index[id(s)] for s in block.successors()]
-        succs.append(succ)
+        succ = succs[bi]
         term = block.terminator
         if isinstance(term, Branch) and term.is_conditional:
             overheads[bi] = COND_BRANCH_OVERHEAD
@@ -417,29 +418,20 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
                 overheads[bi] = COND_BRANCH_OVERHEAD * max(1, term.num_cases)
             probs.append([1.0 / len(succ)] * len(succ) if succ else [])
 
-    # Predecessors without repeats, in layout order (predecessors_map).
-    preds: List[List[int]] = [[] for _ in range(n_blocks)]
-    for bi, succ in enumerate(succs):
-        for s in succ:
-            if not preds[s] or preds[s][-1] != bi:
-                preds[s].append(bi)
     if n_loads and store_insts:
         _reaching_stores(
-            mem_events, preds, store_insts, store_ptrs,
+            mem_events, cfg.preds, store_insts, store_ptrs,
             flow_dst, flow_src, flow_occ,
         )
     live_across, max_pressure = _liveness(
         succs, use_bits, def_bits, phi_bits, n_inst
     )
-    freqs = _block_frequencies(blocks, succs, preds, probs)
+    freqs = _block_frequencies(cfg, probs)
 
     block_mop_counts = np.bincount(
         np.array(mop_cells, np.int64), minlength=n_blocks * N_MACHINE_OPS
     ).reshape(n_blocks, N_MACHINE_OPS)
     wave_insts = [j for wave in waves for j in wave]
-    wave_offsets = [0]
-    for wave in waves:
-        wave_offsets.append(wave_offsets[-1] + len(wave))
     wave_dep_offsets = [0]
     wave_deps: List[int] = []
     for dep_lists in wave_dep_lists:
@@ -474,7 +466,6 @@ def build_flat_function(fn: Function, descriptor, model) -> FlatFunction:
     ff.fn_mop_counts = block_mop_counts.sum(axis=0)
     ff.inst_latency = np.array(inst_latency, np.float64)
     ff.wave_insts = np.array(wave_insts, np.int64)
-    ff.wave_offsets = np.array(wave_offsets, np.int64)
     ff.wave_deps = np.array(wave_deps, np.int64)
     ff.wave_dep_offsets = np.array(wave_dep_offsets, np.int64)
     ff.rec_idx = np.array(
@@ -640,153 +631,27 @@ def _liveness(
     return live_across.astype(np.float64), max_pressure
 
 
-def _postorder(succs: List[List[int]]) -> List[int]:
-    """:func:`~repro.analysis.cfg.postorder`: reachable blocks, DFS from
-    block 0 taking successors in order."""
-    if not succs:
-        return []
-    seen = [False] * len(succs)
-    seen[0] = True
-    order: List[int] = []
-    stack = [(0, iter(succs[0]))]
-    while stack:
-        block, it = stack[-1]
-        for s in it:
-            if not seen[s]:
-                seen[s] = True
-                stack.append((s, iter(succs[s])))
-                break
-        else:
-            order.append(block)
-            stack.pop()
-    return order
-
-
-def _dominators(
-    post: List[int], preds: List[List[int]], n_blocks: int
-) -> List[int]:
-    """Cooper–Harvey–Kennedy immediate dominators
-    (:class:`~repro.analysis.dominators.DominatorTree`); ``-1`` for the
-    entry and for unreachable blocks."""
-    index = [-1] * n_blocks
-    for k, b in enumerate(post):
-        index[b] = k
-    idom = [-1] * n_blocks
-    idom[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for b in reversed(post):
-            if b == 0:
-                continue
-            new = -1
-            for p in preds[b]:
-                if index[p] < 0 or idom[p] < 0:
-                    continue
-                if new < 0:
-                    new = p
-                    continue
-                b1, b2 = p, new
-                while b1 != b2:
-                    while index[b1] < index[b2]:
-                        b1 = idom[b1]
-                    while index[b2] < index[b1]:
-                        b2 = idom[b2]
-                new = b1
-            if new >= 0 and idom[b] != new:
-                idom[b] = new
-                changed = True
-    idom[0] = -1
-    return idom
-
-
-def _block_frequencies(
-    blocks: List[BasicBlock],
-    succs: List[List[int]],
-    preds: List[List[int]],
-    probs: List[List[float]],
-) -> List[float]:
+def _block_frequencies(cfg, probs: List[List[float]]) -> List[float]:
     """Relative execution frequency per block (entry = 1.0) on the index
     CFG: ``trip**loop_depth`` scaled by branch probabilities.
 
-    Natural loops are found as :class:`~repro.analysis.loops.LoopInfo`
-    finds them (same loop order, body order, nesting and innermost-loop
-    ties), and the flow propagates in the same float-op order. Trip
-    counts come from :func:`~repro.passes.loops.iv.analyze_loop` on
-    :class:`~repro.analysis.loops.Loop` records built from the result.
+    The postorder and the natural loops are the function's cached ones
+    (:func:`~repro.analysis.loops.loop_forest`); the flow propagates in
+    the reference's float-op order. Trip counts depend on instructions,
+    not only on the CFG, so they come from
+    :func:`~repro.passes.loops.iv.analyze_loop` on every build.
     """
-    from ..analysis.loops import Loop
+    from ..analysis.loops import loop_forest
     from ..passes.loops.iv import analyze_loop
 
-    n_blocks = len(blocks)
+    succs, post = cfg.succs, cfg.post
+    n_blocks = len(succs)
     freq = [0.0] * n_blocks
-    post = _postorder(succs)
     if not post:
         return freq
-    idom = _dominators(post, preds, n_blocks)
-    reachable = [False] * n_blocks
-    for b in post:
-        reachable[b] = True
-
-    def dominates(a: int, b: int) -> bool:
-        if not reachable[a]:
-            return False
-        while b >= 0:
-            if b == a:
-                return True
-            b = idom[b]
-        return False
-
-    # Natural loops, in order of their first back edge.
-    headers: List[int] = []
-    bodies: List[List[int]] = []
-    members: List[set] = []
-    latches: List[List[int]] = []
-    loop_of_header: Dict[int, int] = {}
-    for latch in range(n_blocks):
-        if not reachable[latch]:
-            continue
-        for header in succs[latch]:
-            if not dominates(header, latch):
-                continue
-            lp = loop_of_header.get(header)
-            if lp is None:
-                lp = loop_of_header[header] = len(headers)
-                headers.append(header)
-                bodies.append([header])
-                members.append({header})
-                latches.append([])
-            latches[lp].append(latch)
-            body, member = bodies[lp], members[lp]
-            stack = [latch]
-            while stack:
-                b = stack.pop()
-                if b in member:
-                    continue
-                member.add(b)
-                body.append(b)
-                stack.extend(p for p in preds[b] if reachable[p])
-    n_loops = len(headers)
-    parent = [-1] * n_loops
-    for lp in range(n_loops):
-        best = -1
-        for other in range(n_loops):
-            if other == lp or headers[lp] not in members[other]:
-                continue
-            if best < 0 or len(bodies[other]) < len(bodies[best]):
-                best = other
-        parent[lp] = best
-    innermost = [-1] * n_blocks
-    for lp in range(n_loops):
-        for b in bodies[lp]:
-            cur = innermost[b]
-            if cur < 0 or len(bodies[lp]) < len(bodies[cur]):
-                innermost[b] = lp
-    exit_edges = [
-        max(sum(1 for b in bodies[lp] for s in succs[b]
-                if s not in members[lp]), 1)
-        for lp in range(n_loops)
-    ]
+    forest = loop_forest(cfg)
+    headers, members, parent = forest.headers, forest.members, forest.parent
+    innermost, exit_edges = forest.innermost, forest.exit_edges
 
     # Acyclic flow in RPO with loop-aware conservation: back edges are
     # skipped, and a loop-exit edge carries the flow that entered the
@@ -811,21 +676,10 @@ def _block_frequencies(
             else:
                 freq[s] += f * probs[b][k]
 
-    if not n_loops:
+    if not headers:
         return freq
-    records: List[Loop] = []
-    for lp in range(n_loops):
-        loop = Loop(blocks[headers[lp]])
-        for b in bodies[lp][1:]:
-            loop.add_block(blocks[b])
-        loop.latches = [blocks[b] for b in latches[lp]]
-        records.append(loop)
-    for lp, loop in enumerate(records):
-        if parent[lp] >= 0:
-            loop.parent = records[parent[lp]]
-            loop.parent.children.append(loop)
     trips: List[float] = []
-    for loop in records:
+    for loop in forest.records:
         try:
             bounds = analyze_loop(loop)
         except Exception:  # pragma: no cover - malformed loops
@@ -835,7 +689,7 @@ def _block_frequencies(
         else:
             trips.append(DEFAULT_TRIP_COUNT)
     multiplier = []
-    for lp in range(n_loops):
+    for lp in range(len(headers)):
         m = 1.0
         node = lp
         while node >= 0:

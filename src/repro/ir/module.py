@@ -157,6 +157,9 @@ class Function(GlobalValue):
             for i, ty in enumerate(ftype.params)
         ]
         self._name_counter = 0
+        # The index CFG and analyses of the last CFG shape fetched
+        # (:func:`repro.analysis.cfg.index_cfg` checks it on every fetch).
+        self.cfg_cache = None
         if module is not None:
             module.add_function(self)
 

@@ -207,6 +207,7 @@ class _Parser:
         i = 0
         while i < n:
             tok = toks[i]
+            self.at = i
             if tok == "define" or tok == "declare":
                 name, i = self._parse_function_header(i)
                 if tok == "define":
@@ -350,6 +351,7 @@ class _Parser:
                 result = tok
                 i += 2
             op = toks[i]
+            self.at = i
             parse_rhs = rhs.get(op)
             if parse_rhs is not None:
                 inst, i = parse_rhs(self, op, i + 1)
@@ -580,10 +582,22 @@ _RHS_PARSERS = {
 
 
 def parse_module(text: str) -> Module:
-    """Parse textual IR into a :class:`~repro.ir.module.Module`."""
+    """Parse textual IR into a :class:`~repro.ir.module.Module`; malformed
+    text raises :class:`ParseError` and nothing else."""
+    parser = _Parser(text)
     try:
-        return _Parser(text).parse()
+        return parser.parse()
     except IndexError:
         # Every step indexes the token list directly; running off its
         # end means the text stopped inside a construct.
         raise ParseError("unexpected end of input") from None
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # A token that is no operand of its type (``int("}")``, an
+        # unknown name) or operands no constructor takes; ``parser.at``
+        # is the first token of the construct being built.
+        raise ParseError(
+            f"malformed {parser.toks[parser.at]} at token {parser.at + 1}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None

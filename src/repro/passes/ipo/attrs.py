@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from ...analysis.callgraph import CallGraph
-from ...analysis.loops import has_natural_loop
+from ...analysis.loops import LoopInfo
 from ...analysis.memdep import pointer_escapes, underlying_object
 from ...ir.instructions import Alloca, Call, Load, Store
 from ...ir.module import Function, Module
@@ -98,7 +98,7 @@ def _infer_for(fn: Function, graph: CallGraph, escapes: Dict[int, bool]) -> bool
         and calls_ok_willreturn
         and not recursive
     ):
-        add("willreturn", not has_natural_loop(fn))
+        add("willreturn", not LoopInfo(fn).loops)
     return changed
 
 

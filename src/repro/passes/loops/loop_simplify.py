@@ -9,13 +9,13 @@ before every loop-pass group in the ``-Oz`` sequence.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 from ...analysis.dominators import DominatorTree
 from ...analysis.loops import Loop, LoopInfo
 from ...ir.builder import IRBuilder
 from ...ir.instructions import Instruction, Phi
-from ...ir.module import BasicBlock, Function
+from ...ir.module import Function
 from ..base import FunctionPass, register_pass
 
 
@@ -56,12 +56,15 @@ def _insert_preheader(fn: Function, loop: Loop) -> bool:
     return True
 
 
-def _merge_latches(fn: Function, loop: Loop) -> bool:
+def _merge_latches(fn: Function, loop: Loop) -> Optional[Loop]:
+    """Route every back edge through one new latch; returns a copy of
+    ``loop`` that includes it (None if there was one latch already)."""
     if len(loop.latches) <= 1:
-        return False
+        return None
     header = loop.header
     latch = fn.add_block(fn.next_name("latch"))
     IRBuilder(latch).br(header)
+    loop = loop.copy()
     loop.add_block(latch)
     for phi in header.phis():
         merged = Phi(phi.type, fn.next_name(phi.name or "lm"))
@@ -80,7 +83,7 @@ def _merge_latches(fn: Function, loop: Loop) -> bool:
             if op is header:
                 term.set_operand(i, latch)
     loop.latches = [latch]
-    return True
+    return loop
 
 
 def _dedicate_exits(fn: Function, loop: Loop) -> bool:
@@ -139,7 +142,9 @@ class LoopSimplify(FunctionPass):
             round_changed = False
             for loop in info.loops:
                 round_changed |= _insert_preheader(fn, loop)
-                round_changed |= _merge_latches(fn, loop)
+                merged = _merge_latches(fn, loop)
+                if merged is not None:
+                    loop, round_changed = merged, True
                 round_changed |= _dedicate_exits(fn, loop)
                 if round_changed:
                     break  # recompute loop info before continuing

@@ -846,30 +846,35 @@ class OptimizationService:
         self._note_verify_time(session, verify_start)
 
         model = session.model
-        actions = [info.action for info in env.history]
-        passes: List[str] = []
-        for action in actions:
-            passes.extend(model.action_space.passes_for(action))
-        result = OptimizeResult(
-            name=session.name,
-            status="ok",
-            model_version=model.version,
-            action_space=model.action_space_kind,
-            actions=actions,
-            passes=passes,
-            base_size=env.base_size,
-            optimized_size=env.last_size,
-            base_throughput=env.base_throughput,
-            optimized_throughput=env.last_throughput,
-            fingerprint=session.fingerprint,
-            optimized_ir=(
-                print_module(optimized)
-                if self.include_ir and optimized is not None
-                else None
-            ),
-        )
-        if self.result_cache is not None:
-            self.result_cache.put((session.fingerprint, model.version), result)
+        cache, cache_key = self.result_cache, (session.fingerprint, model.version)
+        # An in-flight duplicate finishing second answers with the first
+        # report, which may print other local names: one answer per key.
+        result = cache.peek(cache_key) if cache is not None else None
+        if result is None:
+            actions = [info.action for info in env.history]
+            passes: List[str] = []
+            for action in actions:
+                passes.extend(model.action_space.passes_for(action))
+            result = OptimizeResult(
+                name=session.name,
+                status="ok",
+                model_version=model.version,
+                action_space=model.action_space_kind,
+                actions=actions,
+                passes=passes,
+                base_size=env.base_size,
+                optimized_size=env.last_size,
+                base_throughput=env.base_throughput,
+                optimized_throughput=env.last_throughput,
+                fingerprint=session.fingerprint,
+                optimized_ir=(
+                    print_module(optimized)
+                    if self.include_ir and optimized is not None
+                    else None
+                ),
+            )
+            if cache is not None:
+                cache.put(cache_key, result)
         if self.experience_tap is not None and session.traj is not None:
             # Only verified "ok" rollouts become training experience; the
             # tap itself never raises into the scheduler.
@@ -878,7 +883,9 @@ class OptimizationService:
         self._count("ok")
         session.finalized = True
         latency_s = time.monotonic() - session.arrival
-        session.future.set_result(replace(result, latency_s=latency_s))
+        session.future.set_result(
+            replace(result, name=session.name, latency_s=latency_s)
+        )
         self._publish_result(
             session.name, "ok", latency_s,
             stage_seconds=session.stage_seconds,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..analysis.cfg import reachable_blocks
 from ..ir.instructions import Branch, Instruction, Phi, Switch
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.types import FloatType, IntType, PointerType, Type, VectorType
@@ -297,14 +298,7 @@ def _force_terminator(
 
 
 def _prune_unreachable(fn: Function) -> None:
-    reachable = set()
-    work = [fn.entry]
-    while work:
-        block = work.pop()
-        if id(block) in reachable:
-            continue
-        reachable.add(id(block))
-        work.extend(block.successors())
+    reachable = reachable_blocks(fn)
     for block in list(fn.blocks):
         if id(block) in reachable:
             continue

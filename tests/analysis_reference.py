@@ -1,4 +1,13 @@
-"""Object-IR dataflow analyses: the oracle for the flat build's analyses.
+"""Object-IR analyses: the oracle for the index-CFG and flat-build ones.
+
+:func:`repro.analysis.cfg.index_cfg` numbers a function's CFG once per
+CFG shape, and the dominator tree and natural loops are computed on
+those integers (:class:`repro.analysis.dominators.DominatorTree` and
+:class:`repro.analysis.loops.LoopInfo` are views of the cached result).
+:func:`postorder`, :class:`DominatorTree` and :class:`LoopInfo` here are
+the object-block implementations they replaced, built fresh on every
+call; ``tests/analysis/test_analysis_reference.py`` compares the two
+after every ``-Oz`` pass.
 
 :func:`repro.ir.flat.build_flat_function` computes block frequencies,
 liveness and reaching stores on the integer CFG its one walk over the IR
@@ -23,14 +32,277 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.cfg import predecessors_map, reverse_postorder
-from repro.analysis.loops import LoopInfo
+from repro.analysis.loops import Loop
 from repro.analysis.memdep import may_alias
 from repro.codegen.target import get_target
 from repro.ir.flat import DEFAULT_TRIP_COUNT, build_flat_function
 from repro.ir.instructions import Branch, Instruction, Load, Phi, Store
 from repro.ir.module import BasicBlock, Function
+from repro.ir.values import Argument, Constant, Value
 from repro.mca.ports import get_port_model
+
+
+# -- the CFG analyses ---------------------------------------------------------
+
+
+def postorder(fn: Function) -> List[BasicBlock]:
+    """Postorder traversal of reachable blocks from the entry."""
+    order: List[BasicBlock] = []
+    seen: Set[int] = set()
+
+    def visit(block: BasicBlock) -> None:
+        stack = [(block, iter(block.successors()))]
+        seen.add(id(block))
+        while stack:
+            current, succs = stack[-1]
+            advanced = False
+            for succ in succs:
+                if id(succ) not in seen:
+                    seen.add(id(succ))
+                    stack.append((succ, iter(succ.successors())))
+                    advanced = True
+                    break
+            if not advanced:
+                order.append(current)
+                stack.pop()
+
+    if fn.blocks:
+        visit(fn.entry)
+    return order
+
+
+def predecessors_map(fn: Function) -> Dict[int, List[BasicBlock]]:
+    """Precomputed predecessor lists keyed by ``id(block)``."""
+    preds: Dict[int, List[BasicBlock]] = {id(b): [] for b in fn.blocks}
+    for block in fn.blocks:
+        for succ in block.successors():
+            lst = preds.get(id(succ))
+            # A block's own edges are appended consecutively, so a repeat
+            # edge (both arms of a branch, duplicate switch cases) can
+            # only find ``block`` last in the list.
+            if lst is not None and (not lst or lst[-1] is not block):
+                lst.append(block)
+    return preds
+
+
+def reverse_postorder(fn: Function) -> List[BasicBlock]:
+    """Reverse postorder — the canonical forward-dataflow iteration order."""
+    return list(reversed(postorder(fn)))
+
+
+class DominatorTree:
+    """Immediate-dominator tree over the reachable CFG of a function,
+    computed on the object blocks (Cooper–Harvey–Kennedy)."""
+
+    def __init__(self, fn: Function):
+        self.fn = fn
+        self.idom: Dict[int, Optional[BasicBlock]] = {}
+        self._order_index: Dict[int, int] = {}
+        self._children: Dict[int, List[BasicBlock]] = {}
+        self._compute()
+
+    def _compute(self) -> None:
+        fn = self.fn
+        if not fn.blocks:
+            return
+        order = postorder(fn)  # reachable blocks only
+        rpo = list(reversed(order))
+        index = {id(b): i for i, b in enumerate(order)}
+        self._order_index = index
+        preds = predecessors_map(fn)
+
+        entry = fn.entry
+        idom: Dict[int, Optional[BasicBlock]] = {id(b): None for b in rpo}
+        idom[id(entry)] = entry
+
+        def intersect(b1: BasicBlock, b2: BasicBlock) -> BasicBlock:
+            while b1 is not b2:
+                while index[id(b1)] < index[id(b2)]:
+                    b1 = idom[id(b1)]  # type: ignore[assignment]
+                while index[id(b2)] < index[id(b1)]:
+                    b2 = idom[id(b2)]  # type: ignore[assignment]
+            return b1
+
+        changed = True
+        while changed:
+            changed = False
+            for block in rpo:
+                if block is entry:
+                    continue
+                new_idom: Optional[BasicBlock] = None
+                for pred in preds.get(id(block), []):
+                    if id(pred) not in index:
+                        continue  # unreachable pred
+                    if idom[id(pred)] is None:
+                        continue
+                    new_idom = (
+                        pred if new_idom is None else intersect(pred, new_idom)
+                    )
+                if new_idom is not None and idom[id(block)] is not new_idom:
+                    idom[id(block)] = new_idom
+                    changed = True
+
+        self.idom = idom
+        self.idom[id(entry)] = None  # entry has no immediate dominator
+        self._children = {id(b): [] for b in rpo}
+        for block in rpo:
+            parent = self.idom[id(block)]
+            if parent is not None:
+                self._children[id(parent)].append(block)
+
+    # -- queries ----------------------------------------------------------
+    def is_reachable(self, block: BasicBlock) -> bool:
+        return id(block) in self.idom
+
+    def immediate_dominator(self, block: BasicBlock) -> Optional[BasicBlock]:
+        return self.idom.get(id(block))
+
+    def children(self, block: BasicBlock) -> List[BasicBlock]:
+        return self._children.get(id(block), [])
+
+    def dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
+        """Does block ``a`` dominate block ``b`` (reflexively)?"""
+        if not self.is_reachable(a) or not self.is_reachable(b):
+            return False
+        node: Optional[BasicBlock] = b
+        while node is not None:
+            if node is a:
+                return True
+            node = self.idom.get(id(node))
+        return False
+
+    def strictly_dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
+        return a is not b and self.dominates_block(a, b)
+
+    def dominates(self, definition: Value, user: Instruction) -> bool:
+        """Does SSA value ``definition`` dominate the use site ``user``?
+
+        Arguments and constants dominate everything. For instruction defs,
+        intra-block ordering is consulted; a use in a phi is checked against
+        the end of the incoming block by callers (this method treats phi
+        users as block-entry uses).
+        """
+        if isinstance(definition, (Argument, Constant)):
+            return True
+        if not isinstance(definition, Instruction):
+            return True
+        def_block = definition.parent
+        use_block = user.parent
+        assert def_block is not None and use_block is not None
+        if def_block is use_block:
+            if isinstance(user, Phi):
+                return False
+            insts = def_block.instructions
+            return insts.index(definition) < insts.index(user)
+        return self.dominates_block(def_block, use_block)
+
+    def dominance_frontiers(self) -> Dict[int, Set[int]]:
+        """Cytron-style dominance frontiers, keyed/valued by ``id(block)``."""
+        frontiers: Dict[int, Set[int]] = {bid: set() for bid in self.idom}
+        preds = predecessors_map(self.fn)
+        for block in self.fn.blocks:
+            if not self.is_reachable(block):
+                continue
+            block_preds = [p for p in preds.get(id(block), []) if self.is_reachable(p)]
+            if len(block_preds) < 2:
+                continue
+            for pred in block_preds:
+                runner: Optional[BasicBlock] = pred
+                while runner is not None and runner is not self.idom[id(block)]:
+                    frontiers[id(runner)].add(id(block))
+                    runner = self.idom[id(runner)]
+        return frontiers
+
+    def dfs_preorder(self) -> List[BasicBlock]:
+        """Preorder walk of the dominator tree (entry first)."""
+        if not self.fn.blocks:
+            return []
+        order: List[BasicBlock] = []
+        stack = [self.fn.entry]
+        while stack:
+            block = stack.pop()
+            order.append(block)
+            stack.extend(reversed(self.children(block)))
+        return order
+
+
+class LoopInfo:
+    """All natural loops of a function, with a nesting forest: back edges
+    found block by block over :class:`DominatorTree`, bodies walked
+    backwards over ``predecessors_map``."""
+
+    def __init__(self, fn: Function, dom: Optional[DominatorTree] = None):
+        self.fn = fn
+        self.dom = dom or DominatorTree(fn)
+        self.loops: List[Loop] = []
+        self._loop_of_block: Dict[int, Loop] = {}
+        self._compute()
+
+    def _compute(self) -> None:
+        preds = predecessors_map(self.fn)
+        # Find back edges (latch -> header where header dominates latch).
+        back_edges: List[Tuple[BasicBlock, BasicBlock]] = []
+        for block in self.fn.blocks:
+            if not self.dom.is_reachable(block):
+                continue
+            for succ in block.successors():
+                if self.dom.dominates_block(succ, block):
+                    back_edges.append((block, succ))
+
+        loops_by_header: Dict[int, Loop] = {}
+        for latch, header in back_edges:
+            loop = loops_by_header.get(id(header))
+            if loop is None:
+                loop = Loop(header)
+                loops_by_header[id(header)] = loop
+            loop.latches.append(latch)
+            # Walk backwards from the latch collecting the loop body.
+            stack = [latch]
+            while stack:
+                block = stack.pop()
+                if loop.contains(block):
+                    continue
+                loop.add_block(block)
+                for pred in preds.get(id(block), []):
+                    if self.dom.is_reachable(pred):
+                        stack.append(pred)
+
+        self.loops = list(loops_by_header.values())
+        # Nesting: loop A is a child of B if B contains A's header and A != B
+        # and B is the smallest such loop.
+        for loop in self.loops:
+            best: Optional[Loop] = None
+            for other in self.loops:
+                if other is loop or not other.contains(loop.header):
+                    continue
+                if best is None or len(other.blocks) < len(best.blocks):
+                    best = other
+            loop.parent = best
+            if best is not None:
+                best.children.append(loop)
+
+        # Innermost loop per block.
+        for loop in self.loops:
+            for block in loop.blocks:
+                current = self._loop_of_block.get(id(block))
+                if current is None or len(loop.blocks) < len(current.blocks):
+                    self._loop_of_block[id(block)] = loop
+
+    # -- queries ---------------------------------------------------------------
+    def loop_for(self, block: BasicBlock) -> Optional[Loop]:
+        """Innermost loop containing ``block``."""
+        return self._loop_of_block.get(id(block))
+
+    def depth_of(self, block: BasicBlock) -> int:
+        loop = self.loop_for(block)
+        return loop.depth if loop is not None else 0
+
+    def top_level(self) -> List[Loop]:
+        return [l for l in self.loops if l.parent is None]
+
+    def innermost_first(self) -> List[Loop]:
+        """Loops ordered innermost-to-outermost (stable within a depth)."""
+        return sorted(self.loops, key=lambda l: -l.depth)
 
 
 class Liveness:

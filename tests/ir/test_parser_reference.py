@@ -181,10 +181,41 @@ def test_bad_character_offset():
     assert message.startswith(f"bad character at offset {text.index('#')}:")
 
 
+MALFORMED_OPERANDS = {
+    "missing mul operands": (
+        "define i32 @f(i32 %n) {\nentry:\n  %inv = mul i32\n}\n",
+        "malformed mul at token 13: ValueError: ",
+    ),
+    "missing callee": (
+        "define i32 @f(i32 %n) {\nentry:\n  %a = call i32\n}\n",
+        "malformed call at token 13: KeyError: ",
+    ),
+    "store through a non-pointer": (
+        "define void @f(i32 %n) {\nentry:\n"
+        "  store i32 %n, i32 %n, align 4\n  ret void\n}\n",
+        "malformed store at token 11: TypeError: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPERANDS))
+def test_malformed_operands_raise_parse_error(case):
+    """Only ParseError leaves ``parse_module``, with the token position
+    of the instruction."""
+    text, prefix = MALFORMED_OPERANDS[case]
+    with pytest.raises(ParseError) as exc:
+        parse_module(text)
+    assert str(exc.value).startswith(prefix)
+
+
+#: What the reference parser raises on some malformed operands.
+OPERAND_ERRORS = ("KeyError", "TypeError", "ValueError")
+
+
 def _outcome(parse, text):
     try:
         return print_module(parse(text))
-    except Exception as exc:  # some cuts raise ValueError on both
+    except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -194,11 +225,18 @@ def test_every_truncation(name):
     brace added so the cut lands inside a body the parse reaches: both
     parsers build the same module or fail with the same exception and
     message. Where the reference fails an assertion by running off the
-    token list, the new parser reads the end of input."""
+    token list, the new parser reads the end of input; where it raises
+    ``KeyError``/``TypeError``/``ValueError`` on a malformed operand,
+    the new parser raises ``ParseError``."""
     sample = SAMPLES[name]
     for cut in range(len(sample)):
         for text in (sample[:cut], sample[:cut] + "\n}\n"):
             expected = _outcome(parser_reference.parse_module, text)
+            got = _outcome(parse_module, text)
             if expected.startswith("AssertionError"):
                 expected = "ParseError: unexpected end of input"
-            assert _outcome(parse_module, text) == expected, (cut, text)
+            elif expected.startswith(OPERAND_ERRORS):
+                # The new parser reports malformed operands as ParseError.
+                assert got.startswith("ParseError: malformed "), (cut, text)
+                continue
+            assert got == expected, (cut, text)

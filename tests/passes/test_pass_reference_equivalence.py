@@ -57,25 +57,25 @@ def test_oz_sequence_matches_reference(source):
 
 def test_reference_swap_is_undone():
     """The reference implementations are in place only inside the block."""
-    from repro.analysis import dominators
+    from repro.analysis import cfg
     from repro.analysis.callgraph import CallGraph
     from repro.passes.ipo.ipsccp import IPSCCP
     from repro.passes.scalar import early_cse
 
     before = (
-        dominators.predecessors_map, CallGraph.is_recursive,
+        cfg.predecessors_map, CallGraph.is_recursive,
         IPSCCP.run_on_module, early_cse._ScopedTable,
         early_cse.expression_key,
     )
     with reference_passes():
         inside = (
-            dominators.predecessors_map, CallGraph.is_recursive,
+            cfg.predecessors_map, CallGraph.is_recursive,
             IPSCCP.run_on_module, early_cse._ScopedTable,
             early_cse.expression_key,
         )
         assert all(a is not b for a, b in zip(before, inside))
     after = (
-        dominators.predecessors_map, CallGraph.is_recursive,
+        cfg.predecessors_map, CallGraph.is_recursive,
         IPSCCP.run_on_module, early_cse._ScopedTable,
         early_cse.expression_key,
     )
@@ -112,12 +112,14 @@ def _validation_and_fuzz_modules():
 
 def test_cfg_and_callgraph_primitives_match_reference():
     """``predecessors_map``, ``is_recursive``, ``single_predecessor`` and
-    ``has_natural_loop`` answer exactly as their references on every
-    function, before and after ``-Oz``."""
+    whether a function has a loop (the ``willreturn`` test) answer
+    exactly as their references on every function, before and after
+    ``-Oz``."""
     from repro.analysis.callgraph import CallGraph
     from repro.analysis.cfg import predecessors_map
-    from repro.analysis.loops import LoopInfo, has_natural_loop
+    from repro.analysis.loops import LoopInfo
     from repro.passes import build_pipeline
+    from tests.analysis_reference import LoopInfo as ReferenceLoopInfo
     from tests.passes_reference import (
         reference_is_recursive,
         reference_predecessors_map,
@@ -130,7 +132,9 @@ def test_cfg_and_callgraph_primitives_match_reference():
             graph = CallGraph(state)
             for fn in state.functions:
                 assert graph.is_recursive(fn) == reference_is_recursive(graph, fn)
-                assert has_natural_loop(fn) == bool(LoopInfo(fn).loops)
+                assert bool(LoopInfo(fn).loops) == bool(
+                    ReferenceLoopInfo(fn).loops
+                )
                 for block in fn.blocks:
                     preds = block.predecessors()
                     single = preds[0] if len(preds) == 1 else None

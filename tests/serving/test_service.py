@@ -129,6 +129,31 @@ class TestResultCache:
         assert svc.counters["cache_hits"] == 1
         assert svc.result_cache.stats.hits == 1
 
+    def test_in_flight_duplicates_give_one_answer(self, agent, texts):
+        """Two in-flight requests with one fingerprint whose rollouts
+        print differently (other local names) get the same report, and
+        the cache keeps the first one."""
+        renamed = parse_module(texts[0])
+        for fn in renamed.functions:
+            for inst in fn.instructions():
+                if inst.name:
+                    inst.name = "r." + inst.name
+        variant = print_module(renamed)
+        with make_service(agent) as svc:
+            alone = svc.optimize(variant, name="alone")
+        assert alone.status == "ok"
+        with make_service(agent, batch_window_s=0.05) as svc:
+            first = svc.submit(texts[0], name="a")
+            second = svc.submit(variant, name="b")
+            a, b = first.result(timeout=60), second.result(timeout=60)
+            repeat = svc.optimize(variant, name="c")
+        assert a.status == b.status == "ok"
+        assert not a.cache_hit and not b.cache_hit  # both rolled out
+        assert alone.optimized_ir != a.optimized_ir
+        assert (a.name, b.name, repeat.name) == ("a", "b", "c")
+        assert b.report() == a.report()
+        assert repeat.cache_hit and repeat.report() == a.report()
+
     def test_cache_hit_runs_no_pass_or_measurement_code(self, agent, texts):
         with make_service(agent) as svc:
             svc.optimize(texts[0])
